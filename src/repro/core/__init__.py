@@ -1,7 +1,7 @@
 """Squirrel core: the scatter-hoarding VMI cache system."""
 
 from .baselines import BootStormResult, full_copy_transfer_bytes, run_boot_storm
-from .cluster import CCVOLUME, SCVOLUME, ComputeNode, IaaSCluster, StorageTier
+from .cluster import CCVOLUME, SCVOLUME, ComputeNode, IaaSCluster, SnapshotChain, StorageTier
 from .lru_policy import (
     LruCacheNode,
     WorkloadReport,
@@ -31,6 +31,7 @@ __all__ = [
     "RegistrationRecord",
     "SCHEDULING_POLICIES",
     "SchedulerConfig",
+    "SnapshotChain",
     "Squirrel",
     "StorageTier",
     "VmEvent",

@@ -17,10 +17,33 @@ from ..net import GBE_1, GlusterVolume, LinkProfile, Node, NodeKind, TransferLed
 from ..zfs import Dataset, ZPool
 from .replica import Replica, ReplicaStore
 
-__all__ = ["ComputeNode", "StorageTier", "IaaSCluster", "CCVOLUME", "SCVOLUME"]
+__all__ = [
+    "ComputeNode", "StorageTier", "IaaSCluster", "SnapshotChain",
+    "CCVOLUME", "SCVOLUME",
+]
 
 CCVOLUME = "ccvol"
 SCVOLUME = "scvol"
+
+
+@dataclass(frozen=True)
+class SnapshotChain:
+    """One incremental snapshot chain: registrations snapshot ``source``
+    on the storage tier, and every compute node replicates it into its
+    own dataset named ``dataset``.
+
+    An unsharded cluster has the one scVolume → ccVolume chain; a sharded
+    one has a chain per shard (a single shard adopts that same pair).
+    """
+
+    source: Dataset
+    dataset: str  #: node-side dataset name; also the chain's key
+    shard: str | None = None  #: owning shard, ``None`` when unsharded
+    domain: str | None = None  #: node-side dedup domain, ``None``: global
+
+    def label(self, snapshot: str) -> str:
+        """Snapshot name qualified by its shard (``s01@v00003``)."""
+        return snapshot if self.shard is None else f"{self.shard}@{snapshot}"
 
 
 @dataclass
@@ -38,8 +61,12 @@ class ComputeNode:
     node: Node
     replica: Replica
     online: bool = True
-    #: name of the newest scVolume snapshot this node has received
+    #: name of the newest scVolume snapshot this node has received — the
+    #: ccVolume chain's sync point
     synced_snapshot: str | None = None
+    #: sync points of the node's other chains (shard datasets), keyed by
+    #: node-side dataset name; sync state is per node, not per replica
+    shard_synced: dict[str, str | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if isinstance(self.replica, ZPool):
@@ -58,6 +85,18 @@ class ComputeNode:
     @property
     def ccvolume(self) -> Dataset:
         return self.replica.pool.dataset(CCVOLUME)
+
+    def sync_point(self, dataset: str) -> str | None:
+        """Newest snapshot of ``dataset``'s chain this node has received."""
+        if dataset == CCVOLUME:
+            return self.synced_snapshot
+        return self.shard_synced.get(dataset)
+
+    def set_sync_point(self, dataset: str, snapshot: str | None) -> None:
+        if dataset == CCVOLUME:
+            self.synced_snapshot = snapshot
+        else:
+            self.shard_synced[dataset] = snapshot
 
 
 @dataclass

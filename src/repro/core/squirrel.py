@@ -20,6 +20,10 @@ Plus the two background mechanisms:
   returning from downtime requests the diff from its last synced snapshot;
   if that snapshot was already garbage-collected, the whole scVolume is
   re-replicated.
+
+Each of these runs over a :class:`~repro.core.cluster.SnapshotChain`: the
+scVolume → ccVolume pair, or one chain per shard when a
+:class:`~repro.shard.ShardRouter` partitions the cVolume.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..codecs import SizeEstimator
-from ..common.errors import RegistrationError
+from ..common.errors import ConfigError, RegistrationError
 from ..common.units import QCOW2_CLUSTER_SIZE, align_up
 from ..vmi.image import ImageSpec, cache_stream
 from ..vmi.streams import block_view
 from ..zfs import SendStream, generate_send, receive
 from ..net import multicast
-from .cluster import CCVOLUME, ComputeNode, IaaSCluster
+from .cluster import CCVOLUME, ComputeNode, IaaSCluster, SnapshotChain
 from .replica import apply_to_nodes
 
 __all__ = ["Squirrel", "BootOutcome", "RegistrationRecord", "cold_read_bytes"]
@@ -115,7 +119,13 @@ class BootOutcome:
 
 @dataclass
 class Squirrel:
-    """The orchestrator."""
+    """The orchestrator.
+
+    Every hoard lives on a :class:`~repro.core.cluster.SnapshotChain`:
+    register, propagation, GC and resync are written once, over a chain.
+    Without a router there is one chain (scVolume → ccVolume); a
+    :class:`~repro.shard.ShardRouter` supplies one per shard.
+    """
 
     cluster: IaaSCluster
     estimator: SizeEstimator
@@ -123,9 +133,10 @@ class Squirrel:
     gc_window_days: float = 7.0
     #: logical clock, in days
     clock_days: float = 0.0
-    _snap_serial: int = 0
     _registered: dict[int, ImageSpec] = field(default_factory=dict)
-    _snapshot_days: dict[str, float] = field(default_factory=dict)
+    #: chain key → last snapshot serial; chain key → snapshot name → day
+    _serials: dict[str, int] = field(default_factory=dict)
+    _snapshot_days: dict[str, dict[str, float]] = field(default_factory=dict)
     registrations: list[RegistrationRecord] = field(default_factory=list)
     #: optional :class:`~repro.placement.PlacementCoordinator`. ``None`` —
     #: the default — is the paper baseline: every cache on every node,
@@ -137,9 +148,14 @@ class Squirrel:
     #: bit-identical to one built inline — results never depend on it.
     catalog: object | None = None
     #: optional :class:`~repro.shard.ShardRouter`. ``None`` — the default —
-    #: is the single global dedup domain; every sharded branch below is
-    #: guarded on it, so the ``None`` path stays byte-identical.
+    #: is the single global dedup domain on the one scVolume chain. A
+    #: router supplies the per-shard chains and the steps that only exist
+    #: for shards: quota eviction, DDT high-water, tenant accounting.
     sharding: object | None = None
+    _chain: SnapshotChain = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._chain = SnapshotChain(self.cluster.storage.scvolume, CCVOLUME)
 
     # -- time ----------------------------------------------------------------------
 
@@ -147,6 +163,20 @@ class Squirrel:
         if days < 0:
             raise RegistrationError("time flows forwards")
         self.clock_days += days
+
+    # -- snapshot chains -------------------------------------------------------------
+
+    def chains(self) -> tuple[SnapshotChain, ...]:
+        """Every snapshot chain, in a fixed (shard plan) order."""
+        if self.sharding is not None:
+            return self.sharding.chains
+        return (self._chain,)
+
+    def chain_of(self, image_id: int) -> SnapshotChain:
+        """The chain hoarding ``image_id``'s cache."""
+        if self.sharding is not None:
+            return self.sharding.chain_of(image_id)
+        return self._chain
 
     # -- register (Section 3.2) -------------------------------------------------------
 
@@ -156,12 +186,11 @@ class Squirrel:
         catalog = self.catalog
         if catalog is not None:
             try:
-                if catalog.spec(spec.image_id) is spec:
-                    return catalog.block_view(
-                        spec.image_id, record_size, "caches"
-                    )
-            except Exception:
-                pass  # unknown id / foreign spec: build inline below
+                owned = catalog.spec(spec.image_id) is spec
+            except ConfigError:
+                owned = False  # not in the catalog: build inline below
+            if owned:
+                return catalog.block_view(spec.image_id, record_size, "caches")
         return block_view(cache_stream(spec), record_size)
 
     def register(self, spec: ImageSpec, *, uploader: str = "user") -> RegistrationRecord:
@@ -175,17 +204,17 @@ class Squirrel:
 
         # 1. boot once on a storage node: reads the boot working set from the
         # parallel FS (local to the storage tier, but still recorded)
-        scvol = self.cluster.storage.scvolume
         primary = self.cluster.storage.primary
         gluster.read(
             vmi_name, 0, min(spec.cache_bytes, spec.nonzero_bytes),
             reader=primary.name, purpose="registration-boot",
         )
-        if self.sharding is not None:
-            return self._register_sharded(spec)
 
-        # 2. move the cache from memory into the scVolume
-        view = self._cache_view(spec, scvol.record_size)
+        # 2. move the cache from memory into the chain's storage dataset
+        chain = self.chain_of(spec.image_id)
+        source = chain.source
+        cache_file = _cache_file_name(spec.image_id)
+        view = self._cache_view(spec, source.record_size)
         psizes = view.psizes(self.estimator)
         rows = list(
             zip(
@@ -195,49 +224,43 @@ class Squirrel:
                 view.is_hole.tolist(),
             )
         )
-        scvol.write_file_virtual(_cache_file_name(spec.image_id), rows)
+        source.write_file_virtual(cache_file, rows)
+        if self.sharding is not None:
+            # quota evictions land before the snapshot: they ride its diff
+            self.sharding.note_hoarded(chain.shard, spec.image_id, cache_file)
 
-        # 3. snapshot the scVolume for this registration
-        self._snap_serial += 1
-        snap_name = _snapshot_name(self._snap_serial)
-        previous = scvol.latest_snapshot()
-        scvol.snapshot(snap_name)
-        self._snapshot_days[snap_name] = self.clock_days
+        # 3. snapshot the chain for this registration
+        serial = self._serials.get(chain.dataset, 0) + 1
+        self._serials[chain.dataset] = serial
+        snap_name = _snapshot_name(serial)
+        previous = source.latest_snapshot()
+        source.snapshot(snap_name)
+        self._snapshot_days.setdefault(chain.dataset, {})[snap_name] = (
+            self.clock_days
+        )
 
         # 4. distribute the cache to compute nodes
         if self.placement is not None:
             # partial hoarding: the coordinator installs the cache on the
             # image's assigned holders via the configured transport; no
             # fleet-wide snapshot diff is shipped.
-            seed = self.placement.seed_image(
-                self.cluster, spec, _cache_file_name(spec.image_id), rows
+            result = self.placement.seed_image(self.cluster, spec, cache_file, rows)
+            diff_bytes = result.n_bytes
+        else:
+            # paper baseline: incremental diff to all online nodes via multicast
+            stream = generate_send(
+                source,
+                snap_name,
+                from_snapshot=previous.name if previous else None,
+                include_payloads=False,
             )
-            self._registered[spec.image_id] = spec
-            record = RegistrationRecord(
-                image_id=spec.image_id,
-                snapshot=snap_name,
-                diff_bytes=seed.n_bytes,
-                cache_bytes=spec.cache_bytes,
-                registered_day=self.clock_days,
-                propagation_seconds=seed.duration_s,
-                receivers=seed.n_receivers,
-            )
-            self.registrations.append(record)
-            return record
-
-        # paper baseline: incremental diff to all online nodes via multicast
-        stream = generate_send(
-            scvol,
-            snap_name,
-            from_snapshot=previous.name if previous else None,
-            include_payloads=False,
-        )
-        result = self._propagate(stream)
+            result = self._propagate(chain, stream)
+            diff_bytes = stream.size_bytes
         self._registered[spec.image_id] = spec
         record = RegistrationRecord(
             image_id=spec.image_id,
             snapshot=snap_name,
-            diff_bytes=stream.size_bytes,
+            diff_bytes=diff_bytes,
             cache_bytes=spec.cache_bytes,
             registered_day=self.clock_days,
             propagation_seconds=result.duration_s,
@@ -246,92 +269,14 @@ class Squirrel:
         self.registrations.append(record)
         return record
 
-    def _register_sharded(self, spec: ImageSpec) -> RegistrationRecord:
-        """Sharded registration: hoard into the image's shard dataset,
-        enforce the shard quota *before* the snapshot (evictions ride the
-        same diff), snapshot the shard's own chain, multicast per shard."""
-        sharding = self.sharding
-        shard = sharding.shard_of(spec.image_id)
-        scds = sharding.scvol.dataset(shard)
-        cache_file = _cache_file_name(spec.image_id)
-
-        view = self._cache_view(spec, scds.record_size)
-        psizes = view.psizes(self.estimator)
-        rows = list(
-            zip(
-                view.signatures.tolist(),
-                view.lsizes.tolist(),
-                psizes.tolist(),
-                view.is_hole.tolist(),
-            )
-        )
-        scds.write_file_virtual(cache_file, rows)
-        sharding.scvol.note_file(shard, cache_file)
-        sharding.note_rehoarded(spec.image_id)
-        evicted = sharding.scvol.ensure_quota(shard, keep=(cache_file,))
-        sharding.note_evicted(
-            shard, [int(name.split("-")[1]) for name in evicted]
-        )
-
-        snap_name = sharding.next_snapshot(shard)
-        previous = scds.latest_snapshot()
-        scds.snapshot(snap_name)
-        sharding.snapshot_days[shard][snap_name] = self.clock_days
-        sharding.scvol.refresh(shard)
-
-        stream = generate_send(
-            scds,
-            snap_name,
-            from_snapshot=previous.name if previous else None,
-            include_payloads=False,
-        )
-        result = self._propagate_sharded(shard, stream)
-        self._registered[spec.image_id] = spec
-        record = RegistrationRecord(
-            image_id=spec.image_id,
-            snapshot=snap_name,
-            diff_bytes=stream.size_bytes,
-            cache_bytes=spec.cache_bytes,
-            registered_day=self.clock_days,
-            propagation_seconds=result.duration_s,
-            receivers=result.n_receivers,
-        )
-        self.registrations.append(record)
-        return record
-
-    def _propagate_sharded(self, shard: str, stream: SendStream):
-        sharding = self.sharding
-        online = self.cluster.online_nodes()
-        ready = [
-            node for node in online
-            if sharding.synced_of(node.name, shard) == stream.from_snapshot
-        ]
-        result = multicast(
-            self.cluster.ledger,
-            self.cluster.storage.primary,
-            [node.node for node in ready],
-            stream.size_bytes,
-            purpose="cache-propagation",
-        )
-        cc = sharding.cc_name(shard)
-        self._apply_replica(
-            ready,
-            ("recv", shard, stream.from_snapshot, stream.to_snapshot),
-            lambda pool: receive(pool.dataset(cc), stream),
-        )
-        for node in ready:
-            sharding.set_synced(node.name, shard, stream.to_snapshot)
-        return result
-
-    def _propagate(self, stream: SendStream):
-        online = self.cluster.online_nodes()
+    def _propagate(self, chain: SnapshotChain, stream: SendStream):
         # a node that is online but stale (came back from downtime without a
         # resync) cannot apply this diff — receiving it would corrupt the
         # replica or fail the incremental precondition. Skip it; it catches
         # up through resync_node's ordered replay.
         ready = [
-            node for node in online
-            if node.synced_snapshot == stream.from_snapshot
+            node for node in self.cluster.online_nodes()
+            if node.sync_point(chain.dataset) == stream.from_snapshot
         ]
         result = multicast(
             self.cluster.ledger,
@@ -340,19 +285,27 @@ class Squirrel:
             stream.size_bytes,
             purpose="cache-propagation",
         )
-        # nodes in lockstep share one interned replica: the whole fleet's
-        # receive is a single pool mutation, not one per node
-        self._apply_replica(
-            ready,
-            ("recv", stream.from_snapshot, stream.to_snapshot),
-            lambda pool: receive(pool.dataset(CCVOLUME), stream),
-        )
-        for node in ready:
-            node.synced_snapshot = stream.to_snapshot
+        self._receive(ready, chain, stream)
         return result
 
+    def _receive(self, nodes, chain: SnapshotChain, stream: SendStream) -> None:
+        """Apply one send stream to ``nodes``' replicas of ``chain``.
+
+        Nodes in lockstep share one interned replica: the whole fleet's
+        receive is a single pool mutation, and a node replaying a diff its
+        never-offline peers already applied lands on their interned state.
+        """
+        dataset = chain.dataset
+        self._apply_replica(
+            nodes,
+            ("recv", dataset, stream.from_snapshot, stream.to_snapshot),
+            lambda pool: receive(pool.dataset(dataset), stream),
+        )
+        for node in nodes:
+            node.set_sync_point(dataset, stream.to_snapshot)
+
     def _apply_replica(self, nodes, token, mutate, *, when=None) -> None:
-        """Route one ccVolume mutation through the cluster's replica store."""
+        """Route one node-side mutation through the cluster's replica store."""
         apply_to_nodes(
             getattr(self.cluster, "replicas", None), nodes, token, mutate,
             when=when,
@@ -379,17 +332,8 @@ class Squirrel:
         if spec is None:
             raise RegistrationError(f"image {image_id} is not registered")
         node = self.cluster.node(node_name)
-        cache_file = _cache_file_name(image_id)
-        if self.sharding is None:
-            hoarded = node.online and node.ccvolume.has_file(cache_file)
-        else:
-            cc = self.sharding.cc_name(self.sharding.shard_of(image_id))
-            hoarded = (
-                node.online
-                and node.pool.has_dataset(cc)
-                and node.pool.dataset(cc).has_file(cache_file)
-            )
-        if hoarded:
+        replica = node.pool.dataset(self.chain_of(image_id).dataset)
+        if node.online and replica.has_file(_cache_file_name(image_id)):
             return (
                 BootOutcome(
                     image_id, node_name, cache_hit=True, network_bytes=0,
@@ -442,231 +386,117 @@ class Squirrel:
         if image_id not in self._registered:
             raise RegistrationError(f"image {image_id} is not registered")
         cache_file = _cache_file_name(image_id)
+        chain = self.chain_of(image_id)
+        # a shard's quota eviction may already have dropped the hoard
+        if chain.source.has_file(cache_file):
+            chain.source.delete_file(cache_file)
         if self.sharding is not None:
-            shard = self.sharding.shard_of(image_id)
-            scds = self.sharding.scvol.dataset(shard)
-            # a quota eviction may already have dropped the hoard
-            if scds.has_file(cache_file):
-                scds.delete_file(cache_file)
-            self.sharding.scvol.forget(shard, cache_file)
-            self.sharding.evicted_images.pop(image_id, None)
-            del self._registered[image_id]
-            return
-        scvol = self.cluster.storage.scvolume
-        scvol.delete_file(cache_file)
+            self.sharding.note_dropped(chain.shard, image_id, cache_file)
         if self.placement is not None:
             self.placement.drop_image(self.cluster, image_id, cache_file)
         del self._registered[image_id]
 
     def collect_garbage(self) -> list[str]:
         """The daily cron job: destroy snapshots older than the window,
-        always keeping the latest snapshot regardless of age. Runs on the
-        scVolume and every online ccVolume."""
-        if self.sharding is not None:
-            return self._collect_garbage_sharded()
-        scvol = self.cluster.storage.scvolume
-        snaps = scvol.snapshots()
-        if not snaps:
-            return []
-        cutoff = self.clock_days - self.gc_window_days
-        victims = [
-            snap.name
-            for snap in snaps[:-1]  # never the latest
-            if self._snapshot_days.get(snap.name, 0.0) < cutoff
-        ]
-        online = self.cluster.online_nodes()
-        for name in victims:
-            scvol.destroy_snapshot(name)
-            self._apply_replica(
-                online,
-                ("gcsnap", name),
-                lambda pool, name=name: pool.dataset(CCVOLUME)
-                .destroy_snapshot(name),
-                when=lambda pool, name=name: pool.dataset(CCVOLUME)
-                .has_snapshot(name),
-            )
-            del self._snapshot_days[name]
-        return victims
-
-    def _collect_garbage_sharded(self) -> list[str]:
-        """GC each shard's own snapshot chain; victims come back
-        shard-qualified (``s01@v00003``)."""
-        sharding = self.sharding
+        always keeping each chain's latest snapshot regardless of age. Runs
+        on the storage side and every online node's replica of each chain;
+        returns the victims as :meth:`SnapshotChain.label` names."""
         cutoff = self.clock_days - self.gc_window_days
         online = self.cluster.online_nodes()
         collected: list[str] = []
-        for shard in sharding.names:
-            scds = sharding.scvol.dataset(shard)
-            snaps = scds.snapshots()
-            if not snaps:
-                continue
-            days = sharding.snapshot_days[shard]
+        for chain in self.chains():
+            days = self._snapshot_days.get(chain.dataset, {})
             victims = [
                 snap.name
-                for snap in snaps[:-1]  # never the latest
+                for snap in chain.source.snapshots()[:-1]  # never the latest
                 if days.get(snap.name, 0.0) < cutoff
             ]
-            cc = sharding.cc_name(shard)
             for name in victims:
-                scds.destroy_snapshot(name)
-                self._apply_replica(
-                    online,
-                    ("gcsnap", shard, name),
-                    lambda pool, name=name, cc=cc: pool.dataset(cc)
-                    .destroy_snapshot(name),
-                    when=lambda pool, name=name, cc=cc: pool.has_dataset(cc)
-                    and pool.dataset(cc).has_snapshot(name),
-                )
-                del days[name]
-                collected.append(f"{shard}@{name}")
-            sharding.scvol.refresh(shard)
+                chain.source.destroy_snapshot(name)
+                self._destroy_replica_snapshot(online, chain, name)
+                days.pop(name, None)
+                collected.append(chain.label(name))
         return collected
+
+    def _destroy_replica_snapshot(
+        self, nodes, chain: SnapshotChain, name: str
+    ) -> None:
+        dataset = chain.dataset
+        self._apply_replica(
+            nodes,
+            ("gcsnap", dataset, name),
+            lambda pool: pool.dataset(dataset).destroy_snapshot(name),
+            when=lambda pool: pool.dataset(dataset).has_snapshot(name),
+        )
 
     # -- offline propagation (Section 3.5) -----------------------------------------------
 
     def resync_node(self, node_name: str) -> int:
-        """Bring a (re-)joining node's ccVolume in sync; returns bytes moved.
+        """Bring a (re-)joining node's replicas in sync; returns bytes moved.
 
-        When the node's last synced snapshot still exists on the scVolume,
+        Each chain is caught up on its own, in chain order. When the node's
+        last synced snapshot of a chain still exists on the storage side,
         catch-up **replays every missed incremental send in snapshot order**
         — the node ends with the same snapshot chain every never-offline
         node has, so later diffs and GC see no difference between them. A
         single base→latest jump diff would leave the intermediate snapshots
-        missing on the replica and its chain diverged from the scVolume's.
+        missing on the replica and its chain diverged from the storage's.
         When the base fell out of the GC window (or the node is brand new),
-        the entire scVolume is replicated from scratch.
+        the chain is replicated from scratch.
         """
         node = self.cluster.node(node_name)
         node.online = True
-        if self.sharding is not None:
-            return self._resync_node_sharded(node)
         if self.placement is not None:
             # partial hoarding has no snapshot chain to replay: pull exactly
             # the cache slices the directory assigns this node.
             return self.placement.reseed_node(self.cluster, node)
-        scvol = self.cluster.storage.scvolume
-        latest = scvol.latest_snapshot()
+        return sum(self._resync_chain(node, chain) for chain in self.chains())
+
+    def resync_is_incremental(self, node_name: str) -> bool:
+        """Whether :meth:`resync_node` can replay incrementals on every chain
+        with history (``False``: some chain needs full replication)."""
+        node = self.cluster.node(node_name)
+        replayable = []
+        for chain in self.chains():
+            if chain.source.latest_snapshot() is None:
+                continue
+            base = node.sync_point(chain.dataset)
+            replayable.append(base is not None and chain.source.has_snapshot(base))
+        return bool(replayable) and all(replayable)
+
+    def _resync_chain(self, node: ComputeNode, chain: SnapshotChain) -> int:
+        source = chain.source
+        latest = source.latest_snapshot()
         if latest is None:
             return 0
-        if node.synced_snapshot == latest.name:
+        base = node.sync_point(chain.dataset)
+        if base == latest.name:
             return 0
-        base = node.synced_snapshot
         moved = 0
-        if base is not None and scvol.has_snapshot(base):
-            chain = [snap.name for snap in scvol.snapshots()]
-            start = chain.index(base)
-            for from_snap, to_snap in zip(chain[start:], chain[start + 1:]):
+        if base is not None and source.has_snapshot(base):
+            names = [snap.name for snap in source.snapshots()]
+            start = names.index(base)
+            for from_snap, to_snap in zip(names[start:], names[start + 1:]):
                 stream = generate_send(
-                    scvol, to_snap, from_snapshot=from_snap,
+                    source, to_snap, from_snapshot=from_snap,
                     include_payloads=False,
                 )
-                moved += self._ship_to_node(node, stream)
+                moved += self._ship_to_node(node, chain, stream)
         else:
             # fell out of the window (or brand-new node): full replication
-            self._reset_ccvolume(node)
-            stream = generate_send(scvol, latest.name, include_payloads=False)
-            moved = self._ship_to_node(node, stream)
-        # drop node-local snapshots the scVolume no longer has (GC ran while
-        # the node was away); frees the space their deadlists pin
-        for snap in list(node.ccvolume.snapshots()):
-            if not scvol.has_snapshot(snap.name):
-                self._apply_replica(
-                    [node],
-                    ("gcsnap", snap.name),
-                    lambda pool, name=snap.name: pool.dataset(CCVOLUME)
-                    .destroy_snapshot(name),
-                    when=lambda pool, name=snap.name: pool.dataset(CCVOLUME)
-                    .has_snapshot(name),
-                )
+            self._reset_replica(node, chain)
+            stream = generate_send(source, latest.name, include_payloads=False)
+            moved = self._ship_to_node(node, chain, stream)
+        # drop node-local snapshots the storage side no longer has (GC ran
+        # while the node was away); frees the space their deadlists pin
+        for snap in list(node.pool.dataset(chain.dataset).snapshots()):
+            if not source.has_snapshot(snap.name):
+                self._destroy_replica_snapshot([node], chain, snap.name)
         return moved
 
-    def _resync_node_sharded(self, node: ComputeNode) -> int:
-        """Per-shard catch-up: replay each shard's missed incrementals in
-        snapshot order, or re-replicate a shard whose base fell out of its
-        GC window. Shards are visited in plan order (deterministic)."""
-        sharding = self.sharding
-        moved = 0
-        for shard in sharding.names:
-            scds = sharding.scvol.dataset(shard)
-            latest = scds.latest_snapshot()
-            if latest is None:
-                continue
-            base = sharding.synced_of(node.name, shard)
-            if base == latest.name:
-                continue
-            if base is not None and scds.has_snapshot(base):
-                chain = [snap.name for snap in scds.snapshots()]
-                start = chain.index(base)
-                for from_snap, to_snap in zip(chain[start:], chain[start + 1:]):
-                    stream = generate_send(
-                        scds, to_snap, from_snapshot=from_snap,
-                        include_payloads=False,
-                    )
-                    moved += self._ship_to_node_sharded(node, shard, stream)
-            else:
-                self._reset_shard(node, shard)
-                stream = generate_send(
-                    scds, latest.name, include_payloads=False
-                )
-                moved += self._ship_to_node_sharded(node, shard, stream)
-            # drop node-local snapshots GC removed while the node was away
-            cc = sharding.cc_name(shard)
-            for snap in list(node.pool.dataset(cc).snapshots()):
-                if not scds.has_snapshot(snap.name):
-                    self._apply_replica(
-                        [node],
-                        ("gcsnap", shard, snap.name),
-                        lambda pool, name=snap.name, cc=cc: pool.dataset(cc)
-                        .destroy_snapshot(name),
-                        when=lambda pool, name=snap.name, cc=cc: pool
-                        .has_dataset(cc)
-                        and pool.dataset(cc).has_snapshot(name),
-                    )
-        return moved
-
-    def _ship_to_node_sharded(
-        self, node: ComputeNode, shard: str, stream: SendStream
+    def _ship_to_node(
+        self, node: ComputeNode, chain: SnapshotChain, stream: SendStream
     ) -> int:
-        """Unicast one shard stream to a node and apply it."""
-        sharding = self.sharding
-        duration = node.node.link.transfer_time(stream.size_bytes)
-        self.cluster.ledger.record(
-            self.cluster.storage.primary.name,
-            node.name,
-            stream.size_bytes,
-            "offline-propagation",
-            duration,
-        )
-        cc = sharding.cc_name(shard)
-        self._apply_replica(
-            [node],
-            ("recv", shard, stream.from_snapshot, stream.to_snapshot),
-            lambda pool: receive(pool.dataset(cc), stream),
-        )
-        sharding.set_synced(node.name, shard, stream.to_snapshot)
-        return stream.size_bytes
-
-    def _reset_shard(self, node: ComputeNode, shard: str) -> None:
-        """Blow away one shard dataset on a node ahead of full replication."""
-        sharding = self.sharding
-        cc = sharding.cc_name(shard)
-        scds = sharding.scvol.dataset(shard)
-        domain = None if sharding.n_shards == 1 else shard
-
-        def reset(pool) -> None:
-            pool.destroy_dataset(cc)
-            pool.create_dataset(
-                cc,
-                record_size=scds.record_size,
-                compression=scds.compression,
-                dedup=True,
-                domain=domain,
-            )
-
-        self._apply_replica([node], ("reset", shard), reset)
-        sharding.set_synced(node.name, shard, None)
-
-    def _ship_to_node(self, node: ComputeNode, stream: SendStream) -> int:
         """Unicast one send stream to a node and apply it."""
         duration = node.node.link.transfer_time(stream.size_bytes)
         self.cluster.ledger.record(
@@ -676,30 +506,25 @@ class Squirrel:
             "offline-propagation",
             duration,
         )
-        # a node replaying a diff its never-offline peers already applied
-        # lands on their interned state — the receive repoints, zero work
-        self._apply_replica(
-            [node],
-            ("recv", stream.from_snapshot, stream.to_snapshot),
-            lambda pool: receive(pool.dataset(CCVOLUME), stream),
-        )
-        node.synced_snapshot = stream.to_snapshot
+        self._receive([node], chain, stream)
         return stream.size_bytes
 
-    def _reset_ccvolume(self, node: ComputeNode) -> None:
-        scvol = self.cluster.storage.scvolume
+    def _reset_replica(self, node: ComputeNode, chain: SnapshotChain) -> None:
+        """Blow away a node's replica of ``chain`` ahead of full replication."""
+        source, dataset = chain.source, chain.dataset
 
         def reset(pool) -> None:
-            pool.destroy_dataset(CCVOLUME)
+            pool.destroy_dataset(dataset)
             pool.create_dataset(
-                CCVOLUME,
-                record_size=scvol.record_size,
-                compression=scvol.compression,
+                dataset,
+                record_size=source.record_size,
+                compression=source.compression,
                 dedup=True,
+                domain=chain.domain,
             )
 
-        self._apply_replica([node], ("reset",), reset)
-        node.synced_snapshot = None
+        self._apply_replica([node], ("reset", dataset), reset)
+        node.set_sync_point(dataset, None)
 
     # -- introspection -------------------------------------------------------------------
 

@@ -5,8 +5,8 @@
 * :mod:`~repro.shard.plan` — deterministic grouping into
   :class:`ShardPlan`\\ s (``similarity`` or ``tenant`` mode),
 * :mod:`~repro.shard.router` — the :class:`ShardRouter` Squirrel consults
-  for shard routing, per-shard snapshot chains, quotas, and per-tenant
-  accounting.
+  for shard routing (one snapshot chain per shard), quotas, and
+  per-tenant accounting.
 """
 
 from .plan import GROUPING_MODES, ShardPlan, build_plan, shard_name

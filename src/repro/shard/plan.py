@@ -36,6 +36,7 @@ DEFAULT_THRESHOLD = 0.3
 
 
 def shard_name(index: int) -> str:
+    """Canonical name of the ``index``-th shard (``s00``, ``s01``, ...)."""
     return f"s{index:02d}"
 
 

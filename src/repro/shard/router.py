@@ -1,16 +1,16 @@
 """ShardRouter — the state Squirrel consults when the cVolume is sharded.
 
-Attached as ``squirrel.sharding`` (``None`` keeps every code path
-byte-identical to the global-domain baseline). The router owns:
+Attached as ``squirrel.sharding``. To Squirrel a shard is one more
+snapshot chain (:class:`~repro.core.cluster.SnapshotChain`): register,
+propagation, GC and resync run the same code on every chain, and chain
+state — snapshot serials and ages, per-node sync points — lives with
+Squirrel and the compute nodes. The router owns only what is about
+shards:
 
-* the :class:`~repro.shard.plan.ShardPlan` (image → shard),
+* the :class:`~repro.shard.plan.ShardPlan` (image → shard) and one chain
+  per shard,
 * the storage-side :class:`~repro.zfs.ShardedPool` over the scVolume,
-  including per-shard quotas and eviction,
-* per-shard snapshot serial counters and snapshot ages (each shard has
-  its own incremental chain),
-* per-(node, shard) sync state (replacing ``ComputeNode.synced_snapshot``
-  while sharded — kept off the interned replicas on purpose: sync state
-  is per node, pool state is per replica),
+  including per-shard quotas and eviction, and the DDT high-water marks,
 * per-tenant boot/ARC tallies feeding the per-tenant hit-rate gauges and
   the noisy-neighbor report block.
 
@@ -23,7 +23,7 @@ quota" contrast side of the ``shards`` experiment.
 from __future__ import annotations
 
 from ..common.errors import ConfigError
-from ..core.cluster import CCVOLUME, SCVOLUME
+from ..core.cluster import CCVOLUME, SCVOLUME, SnapshotChain
 from ..zfs import ShardedPool
 from .plan import ShardPlan
 
@@ -50,11 +50,8 @@ class ShardRouter:
         #: children so expositions cover every tenant from the first scrape)
         self.tenants = tuple(int(t) for t in tenants)
         self.scvol: ShardedPool | None = None
-        self._serials = {shard: 0 for shard in plan.names}
-        self.snapshot_days: dict[str, dict[str, float]] = {
-            shard: {} for shard in plan.names
-        }
-        self._synced: dict[str, dict[str, str | None]] = {}
+        #: shard → its snapshot chain, in plan order (set by :meth:`install`)
+        self._chains: dict[str, SnapshotChain] = {}
         self.evicted_images: dict[int, str] = {}
         self._tenants: dict[int, dict[str, int]] = {}
 
@@ -70,12 +67,6 @@ class ShardRouter:
         return self.plan.shard_of(image_id)
 
     # -- installation ---------------------------------------------------------
-
-    def cc_name(self, shard: str) -> str:
-        """Node-side dataset name for a shard."""
-        if self.n_shards == 1:
-            return CCVOLUME
-        return f"{CCVOLUME}/{shard}"
 
     def install(self, squirrel) -> None:
         """Create the shard datasets (storage + every node's pool).
@@ -93,71 +84,73 @@ class ShardRouter:
         cluster = squirrel.cluster
         pool = cluster.storage.pool
         template = cluster.storage.scvolume
-        if self.n_shards == 1:
-            self.scvol = ShardedPool.adopt(
-                pool, SCVOLUME, self.names[0], quota_bytes=self.quota_bytes
-            )
-            return
-        self.scvol = ShardedPool.create(
-            pool,
-            SCVOLUME,
-            self.names,
-            record_size=template.record_size,
-            compression=template.compression,
-            quota_bytes=self.quota_bytes,
-        )
         names = self.names
-        record_size = template.record_size
-        compression = template.compression
+        single = self.n_shards == 1
+        if single:
+            self.scvol = ShardedPool.adopt(
+                pool, SCVOLUME, names[0], quota_bytes=self.quota_bytes
+            )
+        else:
+            self.scvol = ShardedPool.create(
+                pool,
+                SCVOLUME,
+                names,
+                record_size=template.record_size,
+                compression=template.compression,
+                quota_bytes=self.quota_bytes,
+            )
+        self._chains = {
+            shard: SnapshotChain(
+                self.scvol.dataset(shard),
+                CCVOLUME if single else f"{CCVOLUME}/{shard}",
+                shard,
+                None if single else shard,
+            )
+            for shard in names
+        }
+        if single:
+            return
+        chains = self.chains
 
         def init(node_pool) -> None:
-            for shard in names:
+            for chain in chains:
                 node_pool.create_dataset(
-                    f"{CCVOLUME}/{shard}",
-                    record_size=record_size,
-                    compression=compression,
-                    domain=shard,
+                    chain.dataset,
+                    record_size=template.record_size,
+                    compression=template.compression,
+                    domain=chain.domain,
                 )
 
         squirrel._apply_replica(
             cluster.compute, ("shardinit",) + names, init,
-            when=lambda node_pool: not node_pool.has_dataset(
-                f"{CCVOLUME}/{names[0]}"
-            ),
+            when=lambda node_pool: not node_pool.has_dataset(chains[0].dataset),
         )
 
     # -- snapshot chains ------------------------------------------------------
 
-    def next_snapshot(self, shard: str) -> str:
-        self._serials[shard] += 1
-        return f"v{self._serials[shard]:05d}"
+    @property
+    def chains(self) -> tuple[SnapshotChain, ...]:
+        return tuple(self._chains.values())
 
-    # -- per-(node, shard) sync state -----------------------------------------
+    def chain_of(self, image_id: int) -> SnapshotChain:
+        return self._chains[self.plan.shard_of(image_id)]
 
-    def synced_of(self, node_name: str, shard: str) -> str | None:
-        return self._synced.get(node_name, {}).get(shard)
+    # -- quota & eviction -----------------------------------------------------
 
-    def set_synced(self, node_name: str, shard: str, snap: str | None) -> None:
-        self._synced.setdefault(node_name, {})[shard] = snap
+    def note_hoarded(self, shard: str, image_id: int, cache_file: str) -> None:
+        """A cache was just written into ``shard``: queue it for eviction,
+        enforce the quota (evicting older hoards), track the DDT
+        high-water."""
+        scvol = self.scvol
+        scvol.note_file(shard, cache_file)
+        self.evicted_images.pop(image_id, None)
+        for name in scvol.ensure_quota(shard, keep=(cache_file,)):
+            self.evicted_images[int(name.split("-")[1])] = shard
+        scvol.refresh(shard)
 
-    def reset_node(self, node_name: str) -> None:
-        self._synced[node_name] = {shard: None for shard in self.names}
-
-    def in_sync(self, node_name: str, shard: str) -> bool:
-        """Whether the node can apply the shard's next incremental."""
-        if self.scvol is None:
-            return False
-        latest = self.scvol.dataset(shard).latest_snapshot()
-        target = latest.name if latest else None
-        return self.synced_of(node_name, shard) == target
-
-    # -- eviction bookkeeping -------------------------------------------------
-
-    def note_evicted(self, shard: str, image_ids: list[int]) -> None:
-        for image_id in image_ids:
-            self.evicted_images[image_id] = shard
-
-    def note_rehoarded(self, image_id: int) -> None:
+    def note_dropped(self, shard: str, image_id: int, cache_file: str) -> None:
+        """A deregistered cache left ``shard`` (or was evicted earlier)."""
+        self.scvol.forget(shard, cache_file)
         self.evicted_images.pop(image_id, None)
 
     # -- tenant accounting ----------------------------------------------------

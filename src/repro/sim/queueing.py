@@ -1,24 +1,10 @@
-"""Pluggable event queues for the simulation engine.
+"""The simulation engine's event queue.
 
 The engine's total event order is the tuple ``(time, tiebreak, seq)`` —
 simulated time first, then a seeded pseudo-random tie-break, then a
-monotonic sequence number as the final word. Any :class:`EventQueue`
-implementation must pop entries in exactly that order; the engine treats
-the queue as a black box, which is what lets the queue be swapped without
-touching a single determinism pin.
-
-Two implementations ship:
-
-* :class:`HeapEventQueue` — the original binary heap (:mod:`heapq`).
-  C-accelerated, O(log n) per operation, and the default.
-* :class:`CalendarEventQueue` — a calendar queue (R. Brown, CACM 1988):
-  an array of time buckets of width ``w``, each bucket a list kept sorted
-  on the full ``(time, tiebreak, seq)`` key. With the width tracking the
-  mean event spacing, push and pop are amortised O(1). Same-timestamp
-  runs land in one sorted bucket, so a batch of simultaneous events is
-  dispatched from a single bucket scan — and an event scheduled *during*
-  the batch bisects into its ordered place, preserving the total order
-  (the hazard an engine-level pop-the-batch-then-fire scheme would hit).
+monotonic sequence number as the final word. :class:`HeapEventQueue`
+pops entries in exactly that order: a binary heap (:mod:`heapq`),
+C-accelerated, O(log n) per operation.
 
 Entries are 5-tuples ``(time, tiebreak, seq, event, value)``. Tuple
 comparison never reaches the event object because ``seq`` is unique.
@@ -27,44 +13,16 @@ comparison never reaches the event object because ``seq`` is unique.
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import insort
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
-from ..common.errors import SimulationError
-
-__all__ = [
-    "EventQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "QUEUE_KINDS",
-    "make_queue",
-]
+__all__ = ["HeapEventQueue"]
 
 #: one queued occurrence: (time, tiebreak, seq, event, value)
 Entry = tuple
 
 
-@runtime_checkable
-class EventQueue(Protocol):
-    """What the engine needs from a queue of ``(time, tiebreak, seq,
-    event, value)`` entries: push anywhere, pop in total-key order."""
-
-    def push(self, entry: Entry) -> None:
-        """Insert one entry."""
-
-    def pop(self) -> Entry:
-        """Remove and return the entry with the smallest key."""
-
-    def peek_time(self) -> float | None:
-        """Time of the smallest entry, or ``None`` when empty."""
-
-    def __len__(self) -> int:  # pragma: no cover - trivial
-        ...
-
-
 class HeapEventQueue:
-    """The classic binary heap — C-fast, O(log n), the default."""
+    """The classic binary heap — push anywhere, pop in total-key order."""
 
     __slots__ = ("_heap",)
 
@@ -85,147 +43,3 @@ class HeapEventQueue:
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self._heap)
-
-
-#: calendar sizing bounds — powers of two so the modulo stays cheap
-_MIN_BUCKETS = 16
-_MAX_BUCKETS = 1 << 20
-
-
-class CalendarEventQueue:
-    """Calendar queue: bucketed wheel with sorted per-bucket lists.
-
-    ``nbuckets`` and the bucket ``width`` adapt to the population (double
-    above two entries per bucket, halve below one per two buckets), with
-    the width re-estimated from the spacing of the queue's own entries —
-    a pure function of content, so resizes are deterministic. Non-finite
-    times (``inf`` timeouts) live in a sorted overflow list consulted only
-    after every finite entry has drained.
-    """
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_width", "_count",
-        "_cursor", "_cursor_top", "_overflow",
-    )
-
-    def __init__(self, *, width: float = 1.0, nbuckets: int = _MIN_BUCKETS) -> None:
-        if width <= 0:
-            raise SimulationError("calendar bucket width must be positive")
-        self._nbuckets = max(_MIN_BUCKETS, nbuckets)
-        self._width = float(width)
-        self._buckets: list[list[Entry]] = [[] for _ in range(self._nbuckets)]
-        self._count = 0
-        self._cursor = 0
-        self._cursor_top = self._width
-        self._overflow: list[Entry] = []
-
-    # -- protocol -----------------------------------------------------------------
-
-    def push(self, entry: Entry) -> None:
-        time = entry[0]
-        if not math.isfinite(time):
-            insort(self._overflow, entry)
-            return
-        insort(self._buckets[int(time / self._width) % self._nbuckets], entry)
-        self._count += 1
-        if time < self._cursor_top - self._width:
-            # earlier than the dequeue window (Brown's rule): rewind the
-            # cursor to this entry's bucket or the next pop would scan
-            # forward past it and break the total order
-            self._cursor = int(time / self._width) % self._nbuckets
-            self._cursor_top = (math.floor(time / self._width) + 1.0) * self._width
-        if self._count > 2 * self._nbuckets and self._nbuckets < _MAX_BUCKETS:
-            self._resize(self._nbuckets * 2)
-
-    def pop(self) -> Entry:
-        if self._count == 0:
-            if self._overflow:
-                return self._overflow.pop(0)
-            raise SimulationError("pop from an empty event queue")
-        entry = self._pop_finite()
-        if (
-            self._count < self._nbuckets // 2
-            and self._nbuckets > _MIN_BUCKETS
-        ):
-            self._resize(self._nbuckets // 2)
-        return entry
-
-    def peek_time(self) -> float | None:
-        if self._count == 0:
-            return self._overflow[0][0] if self._overflow else None
-        return self._min_entry()[0]
-
-    def __len__(self) -> int:
-        return self._count + len(self._overflow)
-
-    def __iter__(self) -> Iterator[Entry]:
-        for bucket in self._buckets:
-            yield from bucket
-        yield from self._overflow
-
-    # -- internals ----------------------------------------------------------------
-
-    def _pop_finite(self) -> Entry:
-        buckets, width = self._buckets, self._width
-        cursor, top = self._cursor, self._cursor_top
-        for _ in range(self._nbuckets):
-            bucket = buckets[cursor]
-            if bucket and bucket[0][0] < top:
-                self._cursor, self._cursor_top = cursor, top
-                self._count -= 1
-                return bucket.pop(0)
-            cursor = (cursor + 1) % self._nbuckets
-            top += width
-        # a whole "year" of empty buckets: jump straight to the minimum
-        entry = self._min_entry()
-        self._cursor = int(entry[0] / width) % self._nbuckets
-        self._cursor_top = (math.floor(entry[0] / width) + 1.0) * width
-        self._count -= 1
-        self._buckets[self._cursor].pop(0)
-        return entry
-
-    def _min_entry(self) -> Entry:
-        # heads only: equal times always share a bucket, so comparing the
-        # (time, tiebreak, seq) prefixes across heads is a total order
-        return min(b[0] for b in self._buckets if b)
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        entries.sort()
-        self._width = self._estimate_width(entries)
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            insort(self._buckets[int(entry[0] / width) % nbuckets], entry)
-        first = entries[0][0] if entries else 0.0
-        self._cursor = int(first / width) % nbuckets
-        self._cursor_top = (math.floor(first / width) + 1.0) * width
-
-    def _estimate_width(self, entries: list[Entry]) -> float:
-        """Mean spacing of the (sorted) population, clamped to stay finite.
-
-        Brown's estimator samples dequeue gaps; using the resident entries
-        keeps the result a deterministic function of queue content.
-        """
-        if len(entries) < 2:
-            return self._width
-        span = entries[-1][0] - entries[0][0]
-        if span <= 0.0:
-            # everything simultaneous: any positive width works
-            return self._width
-        return max(span / (len(entries) - 1) * 2.0, 1e-12)
-
-
-QUEUE_KINDS = ("heap", "calendar")
-
-
-def make_queue(kind: str) -> EventQueue:
-    """Instantiate a queue by config name (``heap`` or ``calendar``)."""
-    if kind == "heap":
-        return HeapEventQueue()
-    if kind == "calendar":
-        return CalendarEventQueue()
-    raise SimulationError(
-        f"unknown event queue {kind!r}; choose from {', '.join(QUEUE_KINDS)}"
-    )

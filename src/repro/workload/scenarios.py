@@ -1000,14 +1000,11 @@ class TimedSquirrel:
         it — zero network involvement either way."""
         node = self.squirrel.cluster.node(node_name)
         sharding = self.squirrel.sharding
-        if sharding is None:
-            shard = None
-            cache = node.ccvolume.file(self.squirrel.cache_file_of(image_id))
-        else:
-            shard = sharding.shard_of(image_id)
-            cache = node.pool.dataset(sharding.cc_name(shard)).file(
-                self.squirrel.cache_file_of(image_id)
-            )
+        chain = self.squirrel.chain_of(image_id)
+        shard = chain.shard
+        cache = node.pool.dataset(chain.dataset).file(
+            self.squirrel.cache_file_of(image_id)
+        )
         arc = self.arc[node_name]
         before = arc.stats.as_dict()
         lookup = bt.child("arc.lookup", image_id=image_id)
@@ -1329,23 +1326,7 @@ class TimedSquirrel:
         t0 = engine.now
         span = self.tracer.span("resync", track=node_name, node=node_name)
         self._sync_clock()
-        node = self.squirrel.cluster.node(node_name)
-        scvol = self.squirrel.cluster.storage.scvolume
-        sharding = self.squirrel.sharding
-        if sharding is not None:
-            # incremental iff every shard with history can replay its own
-            # chain from this node's per-shard sync point
-            states = []
-            for shard in sharding.names:
-                scds = sharding.scvol.dataset(shard)
-                if scds.latest_snapshot() is None:
-                    continue
-                base = sharding.synced_of(node_name, shard)
-                states.append(base is not None and scds.has_snapshot(base))
-            incremental = bool(states) and all(states)
-        else:
-            base = node.synced_snapshot
-            incremental = base is not None and scvol.has_snapshot(base)
+        incremental = self.squirrel.resync_is_incremental(node_name)
         moved = self.squirrel.resync_node(node_name)
         if moved:
             self.timeline.count("resync_bytes", moved)

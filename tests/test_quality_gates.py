@@ -30,6 +30,10 @@ PACKAGES = [
     "repro.sweep",
     "repro.obs",
     "repro.slo",
+    "repro.shard",
+    "repro.sim",
+    "repro.faults",
+    "repro.workload",
 ]
 
 
