@@ -31,9 +31,16 @@ __all__ = [
 ]
 
 #: splitmix64 constants (Steele et al.); the standard avalanche finaliser.
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
+#: Plain ints for the scalar path, uint64 for the vectorised one.
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MIX_1_INT = 0xBF58476D1CE4E5B9
+_MIX_2_INT = 0x94D049BB133111EB
+_SPLITMIX_GAMMA = np.uint64(_GAMMA_INT)
+_MIX_1 = np.uint64(_MIX_1_INT)
+_MIX_2 = np.uint64(_MIX_2_INT)
+#: left-operand multiplier of :func:`mix64_pair`
+_PAIR_MUL = 0xC2B2AE3D27D4EB4F
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def hash_bytes(data: bytes) -> str:
@@ -50,7 +57,7 @@ def mix64(values: np.ndarray | int) -> np.ndarray | np.uint64:
     """
     state = np.asarray(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = (state + _SPLITMIX_GAMMA) & np.uint64(0xFFFFFFFFFFFFFFFF)
+        state = (state + _SPLITMIX_GAMMA) & np.uint64(_MASK64)
         state ^= state >> np.uint64(30)
         state *= _MIX_1
         state ^= state >> np.uint64(27)
@@ -66,7 +73,7 @@ def mix64_pair(lhs: np.ndarray | int, rhs: np.ndarray | int) -> np.ndarray | np.
     left = np.asarray(lhs, dtype=np.uint64)
     right = np.asarray(rhs, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        combined = left * np.uint64(0xC2B2AE3D27D4EB4F) + mix64(right)
+        combined = left * np.uint64(_PAIR_MUL) + mix64(right)
     return mix64(combined)
 
 
@@ -99,19 +106,31 @@ def fold_grain_signatures(grain_ids: np.ndarray, grains_per_block: int) -> np.nd
     return np.asarray(mix64(folded), dtype=np.uint64)
 
 
+def _mix64_int(state: int) -> int:
+    """Scalar :func:`mix64` in plain Python ``int`` arithmetic."""
+    state = (state + _GAMMA_INT) & _MASK64
+    state ^= state >> 30
+    state = (state * _MIX_1_INT) & _MASK64
+    state ^= state >> 27
+    state = (state * _MIX_2_INT) & _MASK64
+    return state ^ (state >> 31)
+
+
 def derive_seed(*parts: int | str) -> int:
     """Derive a deterministic 64-bit seed from heterogeneous parts.
 
     Strings are hashed stably (not with Python's randomised ``hash``); ints
-    are mixed in order. Used to give every image/distro/experiment its own
-    independent, reproducible RNG stream.
+    (and numpy integer scalars, via ``int()``) are mixed in order, modulo
+    2**64. Used to give every image/distro/experiment its own independent,
+    reproducible RNG stream. Bit-identical to folding the parts with
+    :func:`mix64_pair`, but scalar: no numpy round trips per part.
     """
-    state = np.uint64(0x5851F42D4C957F2D)
+    state = 0x5851F42D4C957F2D
     for part in parts:
         if isinstance(part, str):
             digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-            value = np.uint64(int.from_bytes(digest, "little"))
+            value = int.from_bytes(digest, "little")
         else:
-            value = np.uint64(part & 0xFFFFFFFFFFFFFFFF)
-        state = mix64_pair(state, value)
-    return int(state)
+            value = int(part) & _MASK64
+        state = _mix64_int((state * _PAIR_MUL + _mix64_int(value)) & _MASK64)
+    return state

@@ -98,15 +98,16 @@ class ReplicaStore:
         per distinct replica, before anything moves) skips groups the op
         does not apply to, mirroring per-node ``if`` guards.
         """
-        groups: dict[int, list] = {}
-        replicas: dict[int, Replica] = {}
+        # Replica hashes by identity: one dict groups nodes per replica
+        groups: dict[Replica, list] = {}
         for node in nodes:
             replica = node.replica
-            key = id(replica)
-            replicas[key] = replica
-            groups.setdefault(key, []).append(node)
-        for key, members in groups.items():
-            replica = replicas[key]
+            members = groups.get(replica)
+            if members is None:
+                groups[replica] = [node]
+            else:
+                members.append(node)
+        for replica, members in groups.items():
             if when is not None and not when(replica.pool):
                 continue
             self._transition(replica, members, token, mutate)

@@ -273,11 +273,19 @@ class Squirrel:
         # a node that is online but stale (came back from downtime without a
         # resync) cannot apply this diff — receiving it would corrupt the
         # replica or fail the incremental precondition. Skip it; it catches
-        # up through resync_node's ordered replay.
-        ready = [
-            node for node in self.cluster.online_nodes()
-            if node.sync_point(chain.dataset) == stream.from_snapshot
-        ]
+        # up through resync_node's ordered replay. One pass over the fleet.
+        base = stream.from_snapshot
+        if chain.dataset == CCVOLUME:
+            ready = [
+                node for node in self.cluster.compute
+                if node.online and node.synced_snapshot == base
+            ]
+        else:
+            dataset = chain.dataset
+            ready = [
+                node for node in self.cluster.compute
+                if node.online and node.shard_synced.get(dataset) == base
+            ]
         result = multicast(
             self.cluster.ledger,
             self.cluster.storage.primary,
@@ -301,8 +309,13 @@ class Squirrel:
             ("recv", dataset, stream.from_snapshot, stream.to_snapshot),
             lambda pool: receive(pool.dataset(dataset), stream),
         )
-        for node in nodes:
-            node.set_sync_point(dataset, stream.to_snapshot)
+        synced = stream.to_snapshot
+        if dataset == CCVOLUME:
+            for node in nodes:
+                node.synced_snapshot = synced
+        else:
+            for node in nodes:
+                node.shard_synced[dataset] = synced
 
     def _apply_replica(self, nodes, token, mutate, *, when=None) -> None:
         """Route one node-side mutation through the cluster's replica store."""

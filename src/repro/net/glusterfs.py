@@ -209,9 +209,10 @@ class GlusterVolume:
     def verify_served_accounting(self) -> dict[str, int]:
         """Cross-check the O(1) served tallies against the ledger.
 
-        Recomputes each brick's service bytes from the ledger records the
-        read path actually produced — transfers sourced at a brick under a
-        purpose that has flowed through :meth:`read_with_plan` — and raises
+        Recomputes each brick's service bytes from the ledger entries the
+        read path actually produced — entries sourced at a brick under a
+        purpose that has flowed through :meth:`read_with_plan`, counted
+        once per receiver — and raises
         :class:`~repro.common.errors.NetworkError` on any divergence. This
         pins two invariants at once: degraded reads re-route a dead brick's
         ranges onto its group's survivors exactly once (no loss, no double
@@ -222,12 +223,9 @@ class GlusterVolume:
         (i.e. it has not been cleared since construction).
         """
         computed = {name: 0 for name in sorted(self._names)}
-        for transfer in self.ledger.transfers:
-            if (
-                transfer.src in self._names
-                and transfer.purpose in self._read_purposes
-            ):
-                computed[transfer.src] += transfer.n_bytes
+        for src, dsts, n_bytes, purpose, _ in self.ledger.entries:
+            if src in self._names and purpose in self._read_purposes:
+                computed[src] += n_bytes * len(dsts)
         if computed != self._served:
             drift = {
                 name: (self._served[name], computed[name])

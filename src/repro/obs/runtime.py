@@ -189,6 +189,8 @@ class RuntimeProfiler:
         self._clock = clock
         self._born = clock()
         self._phases: dict[str, dict[str, float]] = {}
+        #: start time of each open phase, by name (outermost timing only)
+        self._open: dict[str, float] = {}
         self._points: list[dict[str, Any]] = []
         self._engine_runs = 0
         self._engine_events = 0
@@ -203,13 +205,23 @@ class RuntimeProfiler:
 
     @contextmanager
     def phase(self, name: str):
-        """Time one named phase; re-entering a name accumulates into it."""
+        """Time one named phase; re-entering a name accumulates into it.
+
+        Only the outermost active phase of a name is timed: a phase nested
+        inside a same-name phase (the CLI's ``churn.run`` around the
+        scenario's own) adds neither wall time nor count, so a phase never
+        reports more wall time than the process ran.
+        """
         if self.progress is not None:
             self.progress.phase(name)
-        t0 = self._clock()
+        if name in self._open:
+            yield self
+            return
+        t0 = self._open[name] = self._clock()
         try:
             yield self
         finally:
+            del self._open[name]
             elapsed = self._clock() - t0
             entry = self._phases.setdefault(name, {"wall_s": 0.0, "count": 0})
             entry["wall_s"] += elapsed
@@ -271,14 +283,19 @@ class RuntimeProfiler:
 
         Lives *next to* canonical reports (``runtime.json``, manifest
         trailer, stderr) and is excluded from byte-identical comparisons.
+        A phase still open (a ``--metrics`` export written inside the
+        CLI's ``<exp>.run``) is included with its wall time so far.
         """
+        now = self._clock()
+        phases = {name: dict(entry) for name, entry in self._phases.items()}
+        for name, t0 in self._open.items():
+            entry = phases.setdefault(name, {"wall_s": 0.0, "count": 0})
+            entry["wall_s"] += now - t0
+            entry["count"] += 1
         return {
             "schema": "repro.runtime/1",
-            "wall_s": self._clock() - self._born,
-            "phases": {
-                name: dict(entry)
-                for name, entry in sorted(self._phases.items())
-            },
+            "wall_s": now - self._born,
+            "phases": dict(sorted(phases.items())),
             "engine": self.engine_stats(),
             "rss_high_water_bytes": rss_high_water_bytes(),
             "points": list(self._points),

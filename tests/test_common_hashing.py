@@ -1,5 +1,7 @@
 """Unit and property tests for repro.common.hashing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,3 +112,46 @@ class TestDeriveSeed:
         # a fixed regression value: guards against accidentally using hash()
         assert hashing.derive_seed("stable") == hashing.derive_seed("stable")
         assert 0 <= hashing.derive_seed("stable") < 2**64
+
+
+def _reference_seed(*parts):
+    """:func:`derive_seed` as the vectorised :func:`mix64_pair` fold."""
+    state = np.uint64(0x5851F42D4C957F2D)
+    for part in parts:
+        if isinstance(part, str):
+            digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
+            value = np.uint64(int.from_bytes(digest, "little"))
+        else:
+            value = np.uint64(int(part) & 0xFFFFFFFFFFFFFFFF)
+        state = hashing.mix64_pair(state, value)
+    return int(state)
+
+
+_numpy_ints = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 255).map(np.uint8),
+)
+_seed_parts = st.one_of(
+    st.integers(-(2**63), 2**64 - 1), st.text(), st.booleans(), _numpy_ints,
+)
+
+
+class TestDeriveSeedMatchesVectorisedMix:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(_seed_parts, max_size=6))
+    def test_bit_identical_to_mix64_pair_fold(self, parts):
+        seed = hashing.derive_seed(*parts)
+        assert type(seed) is int
+        assert seed == _reference_seed(*parts)
+
+    def test_fixed_values(self):
+        # pinned against the numpy implementation: every seeded stream in
+        # the repo (image contents, storms, sweeps) derives from these
+        assert hashing.derive_seed() == 0x5851F42D4C957F2D
+        assert hashing.derive_seed("stable") == _reference_seed("stable")
+        assert hashing.derive_seed(-1) == hashing.derive_seed(2**64 - 1)
+        assert hashing.derive_seed(True, np.int64(-3)) == (
+            hashing.derive_seed(1, 2**64 - 3)
+        )

@@ -242,6 +242,79 @@ class TestOfflineCatchupReplay:
             assert node.ccvolume.has_file(squirrel.cache_file_of(image_id))
 
 
+def _propagation_entries(squirrel):
+    return [
+        entry for entry in squirrel.cluster.ledger.entries
+        if entry[3] == "cache-propagation"
+    ]
+
+
+class TestPropagationLedger:
+    """A registration's multicast is one grouped ledger entry, whatever
+    the fleet size; the per-receiver row view still reads as one row per
+    receiver, and only online, in-sync nodes are on it."""
+
+    def test_one_entry_per_multicast_on_a_wide_fleet(self, dataset):
+        cluster = IaaSCluster.build(n_compute=64, n_storage=4, block_size=BLOCK)
+        estimator = make_estimator("gzip6", (BLOCK,), samples_per_point=2)
+        squirrel = Squirrel(cluster=cluster, estimator=estimator)
+        records = [squirrel.register(spec) for spec in dataset.images[:8]]
+        assert [r.receivers for r in records] == [64] * 8
+        ledger = cluster.ledger
+        entries = _propagation_entries(squirrel)
+        primary = cluster.storage.primary.name
+        fleet = tuple(node.name for node in cluster.compute)
+        assert [(src, dsts) for src, dsts, *_ in entries] == [(primary, fleet)] * 8
+        rows = [t for t in ledger.transfers if t.purpose == "cache-propagation"]
+        assert len(rows) == 8 * 64
+        assert len(ledger.transfers) == len(list(ledger.transfers)) == sum(
+            len(dsts) for _, dsts, *_ in ledger.entries
+        )
+        diff_total = sum(r.diff_bytes for r in records)
+        for name in fleet:
+            assert ledger.bytes_into(name, purpose="cache-propagation") == diff_total
+        # the multicast is sourced at a brick, but not under a read purpose
+        bricks = {n.name for group in cluster.storage.gluster.groups for n in group}
+        assert primary in bricks
+        cluster.storage.gluster.verify_served_accounting()
+
+    def test_stale_online_node_gets_no_row_and_keeps_its_sync_point(self, rig):
+        squirrel, dataset = rig
+        squirrel.register(dataset.images[0])
+        node = squirrel.cluster.node("compute2")
+        node.online = False
+        squirrel.register(dataset.images[1])
+        node.online = True  # stale: synced to v00001, the diff is v2 -> v3
+        squirrel.register(dataset.images[2])
+        *_, (_, dsts, _, _, _) = _propagation_entries(squirrel)
+        assert "compute2" not in dsts and len(dsts) == 5
+        assert not any(
+            t.dst == "compute2" and t.purpose == "cache-propagation"
+            for t in list(squirrel.cluster.ledger.transfers)[-5:]
+        )
+        assert node.synced_snapshot == "v00001"
+        assert {n.synced_snapshot for n in squirrel.cluster.compute if n is not node} == {
+            "v00003"
+        }
+
+    def test_stale_node_keeps_its_shard_sync_point(self, rig):
+        squirrel, dataset = rig
+        _attach_router(squirrel, dataset, 2)
+        squirrel.register(dataset.images[0])  # s00 v00001
+        node = squirrel.cluster.node("compute2")
+        node.online = False
+        squirrel.register(dataset.images[2])  # s00 v00002, missed
+        node.online = True
+        squirrel.register(dataset.images[4])  # s00 v00002 -> v00003
+        *_, (_, dsts, _, _, _) = _propagation_entries(squirrel)
+        assert "compute2" not in dsts
+        assert node.shard_synced["ccvol/s00"] == "v00001"
+        peer = squirrel.cluster.node("compute1")
+        assert peer.shard_synced["ccvol/s00"] == "v00003"
+        squirrel.register(dataset.images[1])  # s01: compute2 is in sync
+        assert node.shard_synced["ccvol/s01"] == "v00001"
+
+
 class TestCacheView:
     def test_catalog_synthesis_error_propagates(self, rig):
         squirrel, dataset = rig

@@ -143,3 +143,36 @@ class TestServedAccounting:
         volume.ledger.record(brick, "c9", 123, "boot-read")
         with pytest.raises(NetworkError, match="diverge"):
             volume.verify_served_accounting()
+
+    def test_fanout_double_count_is_detected(self, volume):
+        volume.create_file("vmi-1", 1 << 20)
+        volume.read("vmi-1", 0, 256 * 1024, reader="c0")
+        brick = next(
+            node.name for group in volume.groups for node in group
+            if volume.served_bytes(node.name)
+        )
+        # the brick's service recorded a second time, as a fan-out
+        volume.ledger.record_fanout(
+            brick, ["c0"], volume.served_bytes(brick), "boot-read"
+        )
+        with pytest.raises(NetworkError, match="diverge"):
+            volume.verify_served_accounting()
+
+    def test_fanout_counts_once_per_receiver(self, volume):
+        volume.create_file("vmi-1", 1 << 20)
+        volume.read("vmi-1", 0, 256 * 1024, reader="c0")
+        brick = volume.groups[0][0].name
+        served = volume.served_bytes(brick)
+        volume.ledger.record_fanout(brick, ["c1", "c2"], 64, "boot-read")
+        with pytest.raises(NetworkError, match=rf"\({served}, {served + 128}\)"):
+            volume.verify_served_accounting()
+
+    def test_propagation_fanout_from_a_brick_is_not_service(self, volume):
+        volume.create_file("vmi-1", 1 << 20)
+        volume.read("vmi-1", 0, 256 * 1024, reader="c0")
+        brick = volume.groups[0][0].name
+        volume.ledger.record_fanout(
+            brick, [f"c{i}" for i in range(64)], 4096, "cache-propagation"
+        )
+        computed = volume.verify_served_accounting()
+        assert sum(computed.values()) == 256 * 1024

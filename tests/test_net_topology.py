@@ -1,9 +1,12 @@
 """Unit tests for topology, links, and the transfer ledger."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import NetworkError
 from repro.net import GBE_1, IB_QDR, Node, NodeKind, TransferLedger
+from repro.net.topology import Transfer
 
 
 class TestLinkProfiles:
@@ -98,3 +101,137 @@ class TestLedger:
         ledger = TransferLedger()
         with pytest.raises(NetworkError):
             ledger.record_fanout("a", ["b"], -1, "x")
+
+    def test_fanout_is_one_entry(self):
+        ledger = TransferLedger()
+        dsts = [f"c{i}" for i in range(64)]
+        ledger.record_fanout("s1", dsts, 10, "cache-propagation")
+        ledger.record("s1", "c0", 5, "boot-read")
+        assert len(ledger.entries) == 2
+        assert ledger.entries[0] == ("s1", tuple(dsts), 10, "cache-propagation", 0.0)
+        assert len(ledger.transfers) == 65
+        assert list(ledger.transfers)[-1] == Transfer("s1", "c0", 5, "boot-read")
+
+
+class ReferenceLedger:
+    """The per-receiver ledger semantics, as a plain list of rows."""
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, src, dst, n_bytes, purpose, duration_s=0.0):
+        if n_bytes < 0:
+            raise NetworkError("negative transfer size")
+        self.rows.append(Transfer(src, dst, n_bytes, purpose, duration_s))
+
+    def record_fanout(self, src, dsts, n_bytes, purpose, duration_s=0.0):
+        if n_bytes < 0:
+            raise NetworkError("negative transfer size")
+        for dst in dsts:
+            self.rows.append(Transfer(src, dst, n_bytes, purpose, duration_s))
+
+    def clear(self):
+        self.rows.clear()
+
+    def _sum(self, keep):
+        return sum(t.n_bytes for t in self.rows if keep(t))
+
+    def bytes_into(self, name, purpose):
+        return self._sum(
+            lambda t: t.dst == name and purpose in (None, t.purpose)
+        )
+
+    def bytes_out_of(self, name, purpose):
+        return self._sum(
+            lambda t: t.src == name and purpose in (None, t.purpose)
+        )
+
+    def total_bytes(self, purpose):
+        return self._sum(lambda t: purpose in (None, t.purpose))
+
+    def compute_ingress_bytes(self, names, purpose):
+        return sum(self.bytes_into(name, purpose) for name in set(names))
+
+
+_NAMES = ("s0", "s1", "c0", "c1", "c2", "c3")
+_PURPOSES = ("boot-read", "cache-propagation")
+#: fixed, overlapping receiver sets so fan-outs repeat a set often
+_FLEETS = (("c0", "c1", "c2"), ("c1", "c2"), ("c0", "c1", "c2", "c3"))
+_sizes = st.integers(min_value=-1, max_value=1 << 40)
+_ledger_ops = st.one_of(
+    st.tuples(
+        st.just("record"), st.sampled_from(_NAMES), st.sampled_from(_NAMES),
+        _sizes, st.sampled_from(_PURPOSES), st.sampled_from((0.0, 0.5)),
+    ),
+    st.tuples(
+        st.just("record_fanout"), st.sampled_from(_NAMES),
+        st.one_of(
+            st.sampled_from(_FLEETS),
+            st.lists(st.sampled_from(_NAMES), max_size=5),
+        ),
+        _sizes, st.sampled_from(_PURPOSES), st.sampled_from((0.0, 0.25)),
+    ),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("query"), st.booleans()),
+)
+
+
+def _assert_ingress_agrees(ledger, reference, purpose):
+    for fleet in _FLEETS + (_NAMES,):
+        assert ledger.compute_ingress_bytes(list(fleet), purpose=purpose) == (
+            reference.compute_ingress_bytes(fleet, purpose)
+        )
+    nodes = [Node(name, NodeKind.COMPUTE) for name in _FLEETS[0]]
+    assert ledger.compute_ingress_bytes(nodes, purpose=purpose) == (
+        reference.compute_ingress_bytes(_FLEETS[0], purpose)
+    )
+
+
+def _assert_ledgers_agree(ledger, reference, ingress_first=False):
+    # either query kind may be the first after a fan-out, and each must
+    # fold the pending tally itself
+    for purpose in _PURPOSES + (None,):
+        if ingress_first:
+            _assert_ingress_agrees(ledger, reference, purpose)
+        for name in _NAMES:
+            assert ledger.bytes_into(name, purpose=purpose) == (
+                reference.bytes_into(name, purpose)
+            )
+            assert ledger.bytes_out_of(name, purpose=purpose) == (
+                reference.bytes_out_of(name, purpose)
+            )
+        assert ledger.total_bytes(purpose=purpose) == reference.total_bytes(purpose)
+        _assert_ingress_agrees(ledger, reference, purpose)
+    assert len(ledger.transfers) == len(reference.rows)
+    assert list(ledger.transfers) == reference.rows
+    assert ledger.transfers == reference.rows
+
+
+class TestLedgerEquivalence:
+    """The grouped ledger answers every query exactly like a ledger that
+    keeps one row per receiver, whatever the interleaving of records,
+    fan-outs (repeated and overlapping receiver sets), clears and the
+    queries that fold pending fan-outs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_ledger_ops, max_size=30))
+    def test_matches_per_receiver_reference(self, ops):
+        ledger, reference = TransferLedger(), ReferenceLedger()
+        for op in ops:
+            kind, args = op[0], op[1:]
+            if kind == "query":
+                _assert_ledgers_agree(ledger, reference, *args)
+            elif kind == "clear":
+                ledger.clear()
+                reference.clear()
+            else:
+                n_bytes = args[2]
+                if n_bytes < 0:
+                    with pytest.raises(NetworkError, match="negative"):
+                        getattr(ledger, kind)(*args)
+                    with pytest.raises(NetworkError, match="negative"):
+                        getattr(reference, kind)(*args)
+                else:
+                    getattr(ledger, kind)(*args)
+                    getattr(reference, kind)(*args)
+        _assert_ledgers_agree(ledger, reference)

@@ -436,6 +436,34 @@ class TestRuntimeProfiler:
         assert block["phases"]["setup"]["count"] == 2
         assert block["phases"]["setup"]["wall_s"] == pytest.approx(2.0)
 
+    def test_nested_same_name_phase_counts_once(self):
+        # the CLI's churn.run wraps the scenario's own churn.run: only the
+        # outer one may add, or a phase outlasts the process
+        now = [0.0]
+        profiler = RuntimeProfiler(clock=lambda: now[0])
+        with profiler.phase("churn.run"):
+            now[0] += 1.0
+            with profiler.phase("churn.run"):
+                now[0] += 5.0
+                with profiler.phase("churn.setup"):
+                    now[0] += 2.0
+            # a block taken inside (a --metrics export) shows the open phase
+            assert profiler.block()["phases"]["churn.run"] == {
+                "wall_s": 8.0, "count": 1,
+            }
+            now[0] += 1.0
+        block = profiler.block()
+        assert block["phases"]["churn.run"] == {"wall_s": 9.0, "count": 1}
+        # a distinct nested name is still recorded
+        assert block["phases"]["churn.setup"] == {"wall_s": 2.0, "count": 1}
+        assert block["wall_s"] == 9.0
+        # and once closed, the name accumulates on sequential re-entry
+        with profiler.phase("churn.run"):
+            now[0] += 3.0
+        assert profiler.block()["phases"]["churn.run"] == {
+            "wall_s": 12.0, "count": 2,
+        }
+
     def test_active_registry_attaches_and_detaches(self):
         engine = Engine(seed=0)
         obs_runtime.attach(engine)
