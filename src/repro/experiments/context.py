@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from ..vmi import (
 )
 from ..vmi.catalog import DEFAULT_BUDGET_BYTES
 from ..vmi.streams import BlockView
+
+if TYPE_CHECKING:
+    from .zfs_consumption import ConsumptionTrajectory
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "default_context", "Subject"]
 
@@ -63,6 +66,8 @@ class ExperimentContext:
         self.config = config or ExperimentConfig()
         self._catalogs: dict[float, LazyImageCatalog] = {}
         self._metrics_memo: dict[tuple[Subject, str, int], MetricsResult] = {}
+        #: store-everything trajectories, filled by ``zfs_consumption``
+        self._consumption_memo: dict[tuple[Subject, int], ConsumptionTrajectory] = {}
 
     # -- dataset and streams -----------------------------------------------------
 

@@ -46,17 +46,16 @@ class ConsumptionTrajectory:
         return int(self.memory_bytes[-1])
 
 
-_MEMO: dict[tuple[int, str, int], ConsumptionTrajectory] = {}
-
-
 def consumption(
     subject: Subject, block_size: int, ctx: ExperimentContext | None = None
 ) -> ConsumptionTrajectory:
-    """Memoised store-everything pass for one (subject, block size)."""
+    """Store-everything pass for one (subject, block size), memoised on
+    ``ctx`` for its lifetime."""
     ctx = ctx or default_context()
-    key = (id(ctx), subject, block_size)
-    if key in _MEMO:
-        return _MEMO[key]
+    memo = ctx._consumption_memo  # noqa: SLF001 - the context owns the memo
+    key = (subject, block_size)
+    if key in memo:
+        return memo[key]
     estimator = ctx.estimator("gzip6", (block_size,))
     accountant = PoolAccountant(estimator)
     disk, ddt_disk, memory, data = [], [], [], []
@@ -74,5 +73,5 @@ def consumption(
         memory_bytes=np.asarray(memory, dtype=np.int64),
         data_bytes=np.asarray(data, dtype=np.int64),
     )
-    _MEMO[key] = trajectory
+    memo[key] = trajectory
     return trajectory

@@ -128,25 +128,25 @@ def materialize_grain(grain_id: int) -> bytes:
     gid = int(grain_id)
     if gid == 0:
         return bytes(GRAIN_SIZE)
-    cls = ContentClass(gid & 0x7) if (gid & 0x7) in set(ContentClass) else ContentClass.PACKED
-    rng = stream("grain-bytes", gid)
-    if cls is ContentClass.TEXT:
-        return _text_grain(rng)
-    if cls is ContentClass.BINARY:
-        return _binary_grain(rng)
-    if cls is ContentClass.STRUCTURED:
-        return _structured_grain(rng)
-    return _packed_grain(rng)
+    # untagged low-bit codes (0, 5-7) materialise as PACKED
+    generate = _GRAIN_GENERATORS.get(gid & 0x7, _packed_grain)
+    return generate(stream("grain-bytes", gid))
+
+
+#: ``word + separator`` for every (word, separator draw) pair, indexed by
+#: ``word * 8 + draw``: draw 0 ends a line, 1 is ``=``, 2-7 a space.
+_TEXT_TOKENS = [
+    word + (b"\n" if sep == 0 else (b"=" if sep == 1 else b" "))
+    for word in _VOCAB
+    for sep in range(8)
+]
 
 
 def _text_grain(rng: np.random.Generator) -> bytes:
     indices = rng.integers(0, len(_VOCAB), size=256)
     seps = rng.integers(0, 8, size=256)
-    parts = []
-    for word_idx, sep in zip(indices, seps):
-        parts.append(_VOCAB[int(word_idx)])
-        parts.append(b"\n" if sep == 0 else (b"=" if sep == 1 else b" "))
-    return b"".join(parts)[:GRAIN_SIZE].ljust(GRAIN_SIZE, b" ")
+    text = b"".join([_TEXT_TOKENS[key] for key in (indices * 8 + seps).tolist()])
+    return text[:GRAIN_SIZE].ljust(GRAIN_SIZE, b" ")
 
 
 def _binary_grain(rng: np.random.Generator) -> bytes:
@@ -172,6 +172,14 @@ def _structured_grain(rng: np.random.Generator) -> bytes:
 
 def _packed_grain(rng: np.random.Generator) -> bytes:
     return rng.integers(0, 256, size=GRAIN_SIZE, dtype=np.uint8).tobytes()
+
+
+_GRAIN_GENERATORS = {
+    ContentClass.TEXT: _text_grain,
+    ContentClass.BINARY: _binary_grain,
+    ContentClass.STRUCTURED: _structured_grain,
+    ContentClass.PACKED: _packed_grain,
+}
 
 
 def materialize_block(grain_ids: np.ndarray) -> bytes:

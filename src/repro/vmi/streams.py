@@ -21,7 +21,7 @@ import numpy as np
 from ..codecs import SizeEstimator
 from ..common.hashing import fold_grain_signatures
 from ..common.units import ceil_div
-from .content import GRAIN_SIZE, N_CLASSES, class_of
+from .content import CLASS_MASK, GRAIN_SIZE, N_CLASSES, class_of
 
 __all__ = ["BlockView", "block_view", "grains_per_block"]
 
@@ -72,14 +72,18 @@ def block_view(stream: np.ndarray, block_size: int) -> BlockView:
         padded[: grains.size] = grains
     matrix = padded.reshape(n_blocks, g)
     classes = class_of(matrix)  # 0 = hole
-    class_fractions = np.empty((n_blocks, N_CLASSES), dtype=np.float64)
-    for class_id in range(1, N_CLASSES + 1):
-        class_fractions[:, class_id - 1] = (classes == class_id).mean(axis=1)
+    # one histogram pass: counts[row, k] = grains with class code k (0 =
+    # hole; untagged codes above N_CLASSES get their own, unused columns).
+    # count / g is bit-identical to the mean of the 0/1 class indicator.
+    width = int(CLASS_MASK) + 1
+    keys = classes + (np.arange(n_blocks, dtype=np.int64) * width)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=n_blocks * width).reshape(n_blocks, width)
+    class_fractions = counts[:, 1 : N_CLASSES + 1] / g
 
     lsizes = np.full(n_blocks, block_size, dtype=np.int64)
     if n_blocks and grains.size % g:
         lsizes[-1] = (grains.size % g) * GRAIN_SIZE
-    is_hole = (classes == 0).all(axis=1)
+    is_hole = counts[:, 0] == g
     return BlockView(
         block_size=block_size,
         signatures=signatures,

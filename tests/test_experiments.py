@@ -5,6 +5,9 @@ benchmarks; here we test the machinery: memoisation, rendering, and the
 paper-anchored invariants that hold at any scale.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,33 @@ class TestConsumption:
         first = consumption("caches", 65536, ctx)
         second = consumption("caches", 65536, ctx)
         assert first is second
+
+    def test_memo_is_per_context(self):
+        """Two live contexts never share a trajectory, even for the same
+        (subject, block size): each pass covers its own context's images."""
+        every_4th = ExperimentContext(
+            ExperimentConfig(scale=1 / 2048, quick=4, calibration_samples=2)
+        )
+        every_8th = ExperimentContext(
+            ExperimentConfig(scale=1 / 2048, quick=8, calibration_samples=2)
+        )
+        a = consumption("caches", 65536, every_4th)
+        b = consumption("caches", 65536, every_8th)
+        assert a is not b
+        assert a.files == len(every_4th.specs)
+        assert b.files == len(every_8th.specs)
+        assert consumption("caches", 65536, every_4th) is a
+        assert consumption("caches", 65536, every_8th) is b
+
+    def test_memo_dies_with_context(self):
+        scratch = ExperimentContext(
+            ExperimentConfig(scale=1 / 2048, quick=8, calibration_samples=2)
+        )
+        ref = weakref.ref(consumption("caches", 131072, scratch))
+        assert ref() is not None
+        del scratch
+        gc.collect()
+        assert ref() is None
 
     def test_trajectory_monotone(self, ctx):
         trajectory = consumption("caches", 65536, ctx)

@@ -1,5 +1,7 @@
 """Unit tests for grain content generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,3 +119,39 @@ class TestSampleBlock:
         rng = np.random.default_rng(0)
         block = sample_block(3, 4096, rng)
         assert len(block) == 4096
+
+
+def _pinned_grain_ids() -> list[int]:
+    """The hole grain, then 16 grain ids for every low-bit value 0..7 (the
+    four classes plus the untagged codes that materialise as PACKED)."""
+    ids = [0]
+    for low in range(8):
+        for k in range(1, 17):
+            base = (k * 0x9E3779B97F4A7C15) & ((1 << 61) - 1)
+            ids.append((base << 3) | low)
+    return ids
+
+
+class TestGrainBytesPinned:
+    """Grain bytes feed every compressed-size estimate, so any rewrite of
+    the generators must reproduce them exactly. Digests are of the
+    original per-word generator."""
+
+    GRAINS_SHA256 = "8b093ee4a99e106052129ac0143e80fa8e958189f52758a967d7c80c731f69a9"
+    SAMPLE_BLOCK_SHA256 = {
+        ContentClass.TEXT: "c7a25eb1437be3903cf114264e790bb7d52c1b0522e065fd25e312559afb8d77",
+        ContentClass.BINARY: "8d0821704d63db43d4bf3083c2f1001190dfb0bb0e16d6b0ae53bb6d92129e40",
+        ContentClass.STRUCTURED: "8de7ec2001033818df93e6eb1ccabf3685fbacec962f86430324ee7b5dc8d23d",
+        ContentClass.PACKED: "735d3645fd60cf9b82d1fb9b777e2625ea43ed03cbae57ff8f0c7341c41e80de",
+    }
+
+    def test_materialize_grain_bytes(self):
+        digest = hashlib.sha256()
+        for gid in _pinned_grain_ids():
+            digest.update(materialize_grain(gid))
+        assert digest.hexdigest() == self.GRAINS_SHA256
+
+    @pytest.mark.parametrize("cls", list(ContentClass), ids=lambda c: c.name)
+    def test_sample_block_bytes(self, cls):
+        block = sample_block(int(cls), 65536, np.random.default_rng(2014))
+        assert hashlib.sha256(block).hexdigest() == self.SAMPLE_BLOCK_SHA256[cls]
