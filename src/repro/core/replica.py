@@ -21,8 +21,10 @@ of nodes point at it:
   **repointed** — zero pool work;
 * when only part of a replica's population applies the op (placement
   installs on a holder subset, GC racing an offline node), the group gets
-  a **copy-on-write clone** — one ``deepcopy`` per divergence event, not
-  per node — and diverges from there.
+  a **copy-on-write clone** — one structural :meth:`ZPool.fork` per
+  divergence event, not per node — and diverges from there. A fork costs
+  O(files + DDT entries + ARC entries): block pointers, snapshot views and
+  snapshots are immutable and shared, so nothing is copied per block.
 
 Histories, not contents, are interned: two pools that became identical
 through different op orders are conservatively kept separate, which can
@@ -33,7 +35,6 @@ private per-node pool would hold, so reports stay byte-identical.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Hashable, Iterable
 
 from ..zfs import ZPool
@@ -140,7 +141,7 @@ class ReplicaStore:
             self._interned[nxt] = replica
             return
         # partial group: CoW — one clone for the whole group, then diverge
-        clone = Replica(copy.deepcopy(replica.pool), state=replica.state)
+        clone = Replica(replica.pool.fork(), state=replica.state)
         for node in members:
             self._repoint(node, clone)
         mutate(clone.pool)

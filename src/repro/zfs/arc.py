@@ -13,7 +13,7 @@ resident bytes as memory consumption.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generic, Hashable, TypeVar
 
 __all__ = ["AdaptiveReplacementCache", "ArcStats"]
@@ -182,6 +182,22 @@ class AdaptiveReplacementCache(Generic[K, V]):
             "b1": self._b1_bytes,
             "b2": self._b2_bytes,
         }
+
+    def fork(self) -> "AdaptiveReplacementCache[K, V]":
+        """An independent copy: same lists in the same LRU order, same ``p``
+        and stats. Cached values are shared, not copied."""
+        twin: AdaptiveReplacementCache[K, V] = AdaptiveReplacementCache(self.capacity)
+        twin._p = self._p
+        twin._t1 = self._t1.copy()
+        twin._t2 = self._t2.copy()
+        twin._b1 = self._b1.copy()
+        twin._b2 = self._b2.copy()
+        twin._t1_bytes = self._t1_bytes
+        twin._t2_bytes = self._t2_bytes
+        twin._b1_bytes = self._b1_bytes
+        twin._b2_bytes = self._b2_bytes
+        twin.stats = replace(self.stats)
+        return twin
 
     def clear(self) -> None:
         """Drop all cached data and ghosts (e.g. node reboot)."""

@@ -14,13 +14,22 @@ exactly the way ZFS does it — not by bumping refcounts at snapshot creation
   born after S's previous snapshot (only S pinned them), then inherits S's
   deadlist.
 
+A :class:`Snapshot` is an immutable value once taken: destroying its
+predecessor replaces it with a new one rather than editing it, so forked
+pools (:meth:`ZPool.fork`) share snapshot objects. Snapshot capture costs
+O(files changed since the last snapshot) plus two dict copies: the dataset
+keeps a head mirror of every live file's view and creation txg, refreshed
+only for the names written since. Every file mutation therefore goes
+through a :class:`Dataset` method; the :class:`FileObject` that
+:meth:`Dataset.file` returns is for reading.
+
 ``tests/test_zfs_dataset.py`` checks this machinery against a brute-force
 reachability oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..common.errors import ObjectNotFoundError, SnapshotError, StorageError
@@ -75,6 +84,12 @@ class Dataset:
         #: hands each shard dataset the pipeline of its own dedup domain.
         self.zio = zio if zio is not None else pool.zio
         self._files: dict[str, FileObject] = {}
+        #: head mirror for snapshot capture, in ``_files`` order: each live
+        #: file's view and creation txg. Views are refreshed only for the
+        #: names in ``_touched`` (written since the last snapshot).
+        self._head_views: dict[str, tuple[BlockPointer, ...]] = {}
+        self._head_created: dict[str, int] = {}
+        self._touched: set[str] = set()
         self._snapshots: list[Snapshot] = []  # oldest -> newest
         self._snap_by_name: dict[str, Snapshot] = {}
         self._head_deadlist: list[BlockPointer] = []
@@ -91,9 +106,12 @@ class Dataset:
             created_txg=self.pool.advance_txg(),
         )
         self._files[name] = obj
+        self._head_views[name] = obj.snapshot_view()
+        self._head_created[name] = obj.created_txg
         return obj
 
     def file(self, name: str) -> FileObject:
+        """The named file, for reading: mutate it through this dataset."""
         obj = self._files.get(name)
         if obj is None:
             raise ObjectNotFoundError(f"no file {name!r} in dataset {self.name}")
@@ -117,6 +135,7 @@ class Dataset:
             data, txg=txg, compression=self.compression, dedup=self.dedup
         )
         old = obj.set_block(index, result.bp)
+        self._touched.add(file_name)
         self._kill(old)
         return result.bp
 
@@ -143,6 +162,7 @@ class Dataset:
             is_hole=is_hole,
         )
         old = obj.set_block(index, result.bp)
+        self._touched.add(file_name)
         self._kill(old)
         return result.bp
 
@@ -159,6 +179,7 @@ class Dataset:
                 chunk, txg=txg, compression=self.compression, dedup=self.dedup
             )
             obj.set_block(index, result.bp)
+        self._touched.add(file_name)
         return obj
 
     def write_file_virtual(
@@ -187,6 +208,7 @@ class Dataset:
                 is_hole=is_hole,
             )
             obj.set_block(index, result.bp)
+        self._touched.add(file_name)
         return obj
 
     def read_block(self, file_name: str, index: int) -> bytes:
@@ -212,6 +234,16 @@ class Dataset:
         for bp in obj.blocks:
             self._kill(bp)
         del self._files[file_name]
+        del self._head_views[file_name]
+        del self._head_created[file_name]
+        self._touched.discard(file_name)
+
+    def truncate_file(self, file_name: str, block_count: int) -> None:
+        """Resize a file to exactly ``block_count`` records (growing with
+        holes); blocks dropped from the tail are killed like overwrites."""
+        for bp in self.file(file_name).truncate(block_count):
+            self._kill(bp)
+        self._touched.add(file_name)
 
     def destroy(self) -> None:
         """Destroy the dataset: all snapshots (oldest first), then all files."""
@@ -243,15 +275,17 @@ class Dataset:
             raise SnapshotError(f"snapshot {self.name}@{snap_name} already exists")
         txg = self.pool.advance_txg()
         prev_txg = self._snapshots[-1].txg if self._snapshots else 0
+        views = self._head_views
+        for name in self._touched:
+            views[name] = self._files[name].snapshot_view()
+        self._touched.clear()
         snap = Snapshot(
             name=snap_name,
             txg=txg,
             prev_txg=prev_txg,
-            files={name: obj.snapshot_view() for name, obj in self._files.items()},
+            files=dict(views),
             deadlist=self._head_deadlist,
-            file_created={
-                name: obj.created_txg for name, obj in self._files.items()
-            },
+            file_created=dict(self._head_created),
         )
         self._head_deadlist = []
         self._snapshots.append(snap)
@@ -297,21 +331,39 @@ class Dataset:
                 survivors.append(bp)
         survivors.extend(snap.deadlist)
         if position < len(self._snapshots):
-            successor = self._snapshots[position]
-            successor.deadlist[:] = survivors
-            # the successor's previous snapshot is now S's previous
-            self._snapshots[position] = Snapshot(
-                name=successor.name,
-                txg=successor.txg,
-                prev_txg=snap.prev_txg,
-                files=successor.files,
-                deadlist=successor.deadlist,
-                file_created=successor.file_created,
+            # the successor inherits the deadlist and S's previous snapshot.
+            # It is replaced, not edited: snapshots are shared values.
+            successor = replace(
+                self._snapshots[position], prev_txg=snap.prev_txg, deadlist=survivors
             )
-            self._snap_by_name[successor.name] = self._snapshots[position]
+            self._snapshots[position] = successor
+            self._snap_by_name[successor.name] = successor
         else:
             self._head_deadlist = survivors
         return released
+
+    # -- forking -------------------------------------------------------------
+
+    def fork(self, pool: "ZPool", zio) -> "Dataset":
+        """An independent copy of this dataset inside ``pool`` (a fork of its
+        pool), writing through ``zio``. Files get their own block lists;
+        block pointers, views and snapshots are immutable and shared."""
+        twin = Dataset(
+            pool,
+            self.name,
+            record_size=self.record_size,
+            compression=self.compression,
+            dedup=self.dedup,
+            zio=zio,
+        )
+        twin._files = {name: obj.fork() for name, obj in self._files.items()}
+        twin._head_views = dict(self._head_views)
+        twin._head_created = dict(self._head_created)
+        twin._touched = set(self._touched)
+        twin._snapshots = list(self._snapshots)
+        twin._snap_by_name = dict(self._snap_by_name)
+        twin._head_deadlist = list(self._head_deadlist)
+        return twin
 
     # -- internals -----------------------------------------------------------
 

@@ -62,6 +62,19 @@ class DedupTable:
         """Return the entry for ``checksum`` or None."""
         return self._entries.get(checksum)
 
+    def fork(self) -> "DedupTable":
+        """An independent copy. Entries are copied, not shared: refcounts
+        change in place on every dedup hit and release."""
+        return DedupTable(
+            {
+                checksum: DDTEntry(
+                    e.checksum, e.psize, e.lsize, e.refcount, e.dva, e.birth_txg
+                )
+                for checksum, e in self._entries.items()
+            },
+            self._total_refs,
+        )
+
     def insert(self, checksum: str, *, psize: int, lsize: int, dva: int, txg: int) -> DDTEntry:
         """Insert a brand-new entry with refcount 1."""
         if checksum in self._entries:

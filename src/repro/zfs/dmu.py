@@ -36,6 +36,12 @@ class FileObject:
         default=None, repr=False, compare=False
     )
 
+    def fork(self) -> "FileObject":
+        """An independent copy sharing the immutable block pointers and view."""
+        return FileObject(
+            self.name, self.record_size, list(self.blocks), self.created_txg, self._view
+        )
+
     def block_count(self) -> int:
         return len(self.blocks)
 

@@ -72,6 +72,31 @@ class ZPool:
         self._datasets: dict[str, Dataset] = {}
         self._txg = 0
 
+    def fork(self) -> "ZPool":
+        """An independent copy of this pool, in O(files + DDT entries + ARC
+        entries): mutable state (space map, dedup tables, ARC lists, block
+        lists, deadlists) is copied; block pointers, views, stored payloads
+        and snapshots are immutable and shared, so no block is copied."""
+        twin = ZPool.__new__(ZPool)
+        twin.name = self.name
+        twin.space = self.space.fork()
+        twin.zio = self.zio.fork(twin.space)
+        twin.ddt = twin.zio.ddt
+        twin.plain = twin.zio.plain
+        twin.arc = self.arc.fork()
+        twin._store_payloads = self._store_payloads
+        zios = {id(self.zio): twin.zio}
+        twin._domains = {}
+        for name, (_ddt, zio) in self._domains.items():
+            forked = zios[id(zio)] = zio.fork(twin.space)
+            twin._domains[name] = (forked.ddt, forked)
+        twin._datasets = {
+            name: dataset.fork(twin, zios[id(dataset.zio)])
+            for name, dataset in self._datasets.items()
+        }
+        twin._txg = self._txg
+        return twin
+
     # -- dedup domains --------------------------------------------------------
 
     def domain(self, name: str) -> tuple[DedupTable, ZioPipeline]:

@@ -88,10 +88,6 @@ class SendStream:
         return sum(1 for r in self.records if r.kind is RecordKind.WRITE)
 
 
-def _snapshot_or_error(dataset: Dataset, name: str) -> Snapshot:
-    return dataset.get_snapshot(name)
-
-
 def generate_send(
     dataset: Dataset,
     to_snapshot: str,
@@ -106,12 +102,12 @@ def generate_send(
     unlink/truncate records for namespace changes. ``include_payloads=False``
     skips copying materialised payload bytes (accounting-only streams).
     """
-    to_snap = _snapshot_or_error(dataset, to_snapshot)
+    to_snap = dataset.get_snapshot(to_snapshot)
     if from_snapshot is None:
         from_txg = 0
         from_files: dict[str, tuple[BlockPointer, ...]] = {}
     else:
-        from_snap = _snapshot_or_error(dataset, from_snapshot)
+        from_snap = dataset.get_snapshot(from_snapshot)
         if from_snap.txg >= to_snap.txg:
             raise SendStreamError(
                 f"incremental source @{from_snapshot} is not older than @{to_snapshot}"
@@ -129,10 +125,15 @@ def generate_send(
     for file_name in sorted(to_snap.files):
         blocks = to_snap.files[file_name]
         old_blocks = from_files.get(file_name)
+        created_txg = to_snap.file_created.get(file_name, 0)
+        if blocks is old_blocks and created_txg <= from_txg:
+            # one memoised view in both snapshots: the file was not written
+            # in between, so every block is at least as old as the source.
+            # (Identity alone is not enough: every empty view is ``()``.)
+            continue
         # a file created after the source snapshot is brand new even when a
         # same-named file existed before (delete + re-create between the two
         # snapshots): the replica must drop the old object first
-        created_txg = to_snap.file_created.get(file_name, 0)
         is_new_file = old_blocks is None or created_txg > from_txg
         if old_blocks is not None and is_new_file:
             stream.records.append(SendRecord(RecordKind.UNLINK, file_name))
@@ -245,9 +246,7 @@ def _apply_record(dataset: Dataset, record: SendRecord) -> None:
 def _apply_truncate(dataset: Dataset, record: SendRecord) -> None:
     if not dataset.has_file(record.file_name):
         dataset.create_file(record.file_name)
-    obj = dataset.file(record.file_name)
-    for bp in obj.truncate(record.block_count):
-        dataset._kill(bp)  # noqa: SLF001 - dataset-internal cooperation
+    dataset.truncate_file(record.file_name, record.block_count)
 
 
 def iter_write_checksums(stream: SendStream) -> Iterable[str]:

@@ -13,7 +13,7 @@ charges ``asize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..common.errors import PoolFullError
 from ..common.units import align_up
@@ -51,6 +51,10 @@ class SpaceMap:
         self._allocation_count += 1
         self._sizes[dva] = asize
         return dva
+
+    def fork(self) -> "SpaceMap":
+        """An independent copy: same counters, its own live-allocation map."""
+        return replace(self, _sizes=dict(self._sizes))
 
     def free(self, dva: int) -> int:
         """Free the allocation at ``dva``; returns the reclaimed byte count."""

@@ -61,6 +61,19 @@ class ZioPipeline:
         self._blockstore: dict[str, bytes] = {}
         self._plain_serial = 0
 
+    def fork(self, space: SpaceMap) -> "ZioPipeline":
+        """An independent pipeline over ``space`` (the forked pool's space
+        map) with forked tables; stored payloads are immutable and shared."""
+        twin = ZioPipeline(
+            space,
+            self.ddt.fork(),
+            self.plain.fork(),
+            store_payloads=self.store_payloads,
+        )
+        twin._blockstore = dict(self._blockstore)
+        twin._plain_serial = self._plain_serial
+        return twin
+
     # -- write paths --------------------------------------------------------
 
     def write_bytes(

@@ -1,5 +1,10 @@
 """Unit tests for curve fitting and the model-selection protocol."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,3 +127,21 @@ class TestFittedCurve:
         fit = FittedCurve("linear", (1.0, 2.0), lambda x, a, b: a + b * x)
         out = fit.predict(np.array([0.0, 1.0, 2.0]))
         assert np.allclose(out, [1.0, 3.0, 5.0])
+
+
+class TestLazyScipy:
+    def test_importing_experiments_does_not_import_scipy(self):
+        """scipy loads on the first MMF fit, not with the package: it is most
+        of the import time and memory of every CLI call that never fits."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys, repro.experiments\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
