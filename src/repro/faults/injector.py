@@ -51,14 +51,14 @@ class FaultInjector:
         # fault telemetry on the rig's registry: the sampler tracks the
         # down-node count through every outage window, and per-kind counters
         # record how much of the plan actually fired (overlaps are skipped)
-        self._m_injected = timed.metrics.counter(
-            "faults_injected_total", "Faults fired by kind", labels=("kind",)
+        timed.metrics.declare(
+            "faults_injected_total", "counter", "Faults fired by kind",
+            (("kind", ("brick", "crash", "flap")),),
         )
-        for kind in ("brick", "crash", "flap"):
-            self._m_injected.labels(kind=kind)
-        timed.metrics.gauge(
-            "faults_nodes_down", "Compute nodes currently crashed"
-        ).set_function(lambda: float(len(self._rejoin)))
+        timed.metrics.declare(
+            "faults_nodes_down", "gauge", "Compute nodes currently crashed",
+            read=lambda: len(self._rejoin),
+        )
 
     def _validate(self) -> None:
         cluster = self.timed.squirrel.cluster
@@ -104,7 +104,7 @@ class FaultInjector:
             return
         crashed_at = engine.now
         self.timeline.count("node_crashes")
-        self._m_injected.labels(kind="crash").inc()
+        self.timed.metrics.inc("faults_injected_total", kind="crash")
         span = timed.tracer.span(
             "fault.crash", track=fault.target, node=fault.target,
             duration_s=fault.duration_s,
@@ -146,7 +146,7 @@ class FaultInjector:
             else timed.brick[fault.target]
         )
         self.timeline.count("link_flaps")
-        self._m_injected.labels(kind="flap").inc()
+        self.timed.metrics.inc("faults_injected_total", kind="flap")
         span = timed.tracer.span(
             "fault.flap", track=fault.target, link=fault.target,
             duration_s=fault.duration_s,
@@ -165,7 +165,7 @@ class FaultInjector:
             self.timeline.count("faults_skipped")
             return
         self.timeline.count("brick_failures")
-        self._m_injected.labels(kind="brick").inc()
+        self.timed.metrics.inc("faults_injected_total", kind="brick")
         span = timed.tracer.span(
             "fault.brick", track=fault.target, brick=fault.target,
             duration_s=fault.duration_s,

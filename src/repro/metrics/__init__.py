@@ -6,6 +6,8 @@ cluster evolved while it happened*. Four pieces:
 * :mod:`.instruments` — typed instruments (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram` with fixed, declared bucket layouts)
   grouped into labelled families on a per-run :class:`MetricsRegistry`,
+* :mod:`.fold` — the detail cap: how a family's capped label axis folds
+  past it into ``_other`` counter and ``_fleet`` gauge children,
 * :mod:`.store` — the columnar :class:`TimeSeriesStore` ring buffer the
   sampler writes into,
 * :mod:`.sampler` — the :class:`Sampler` engine process scraping every
@@ -31,6 +33,7 @@ from .export import (
     series_jsonl,
     write_run_exports,
 )
+from .fold import FLEET, OTHER, FoldAxis, fleet_total_series
 from .instruments import (
     Counter,
     Gauge,
@@ -44,7 +47,10 @@ from .store import TimeSeriesStore
 from .summarize import render_rollups, rollup, summarize_path
 
 __all__ = [
+    "FLEET",
+    "OTHER",
     "Counter",
+    "FoldAxis",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -54,6 +60,7 @@ __all__ = [
     "collect_metric_blocks",
     "ensure_export_dir",
     "export_name",
+    "fleet_total_series",
     "format_number",
     "metrics_block",
     "prometheus_text",

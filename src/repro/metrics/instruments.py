@@ -22,11 +22,14 @@ is sorted — the raw material of byte-identical exports.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import re
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from ..common.errors import ConfigError
+from .fold import FLEET, FoldAxis
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry"]
 
@@ -148,8 +151,7 @@ class MetricFamily:
 
     Children are created on first use (:meth:`labels`) or pre-declared for
     a stable exposition; a family with no labels has a single anonymous
-    child reachable through the convenience :meth:`inc`/:meth:`set`/
-    :meth:`observe` passthroughs.
+    child, ``labels()``.
     """
 
     def __init__(
@@ -174,6 +176,8 @@ class MetricFamily:
             _check_name(label, label=True) for label in label_names
         )
         self.buckets = tuple(float(b) for b in buckets) if buckets else None
+        #: the capped axis of the first label, if declared with one
+        self.fold: FoldAxis | None = None
         self._children: dict[tuple[str, ...], Any] = {}
 
     def _make_child(self) -> Any:
@@ -183,100 +187,139 @@ class MetricFamily:
             return Gauge()
         return Histogram(self.buckets)
 
+    def child(self, *label_values: Any) -> Any:
+        """The child at label values given in schema order, taken as they
+        are (created on first use)."""
+        key = tuple(str(value) for value in label_values)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._make_child()
+        return child
+
     def labels(self, **labels: Any) -> Any:
         """The child instrument at one label assignment (created on first
-        use). Label names must match the declared schema exactly."""
+        use). Label names must match the declared schema exactly. On a
+        family with a capped axis, a key outside its detail set lands in
+        the shared ``_other`` child."""
         if set(labels) != set(self.label_names):
             raise ConfigError(
                 f"family {self.name!r} takes labels "
                 f"({', '.join(self.label_names) or 'none'}), "
                 f"got ({', '.join(sorted(labels)) or 'none'})"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._make_child()
-        return child
+        values = [labels[name] for name in self.label_names]
+        if self.fold is not None:
+            values[0] = self.fold.label(values[0])
+        return self.child(*values)
 
     def samples(self) -> list[tuple[tuple[str, ...], Any]]:
         """``(label values, instrument)`` pairs in sorted label order."""
         return sorted(self._children.items())
 
-    # -- no-label conveniences -----------------------------------------------------
-
-    def inc(self, n: float = 1.0) -> None:
-        """Increment the anonymous child of a label-less counter family."""
-        self.labels().inc(n)
-
-    def set(self, value: float) -> None:
-        """Set the anonymous child of a label-less gauge family."""
-        self.labels().set(value)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Attach a callback to the anonymous child of a gauge family."""
-        self.labels().set_function(fn)
-
-    def observe(self, value: float) -> None:
-        """Observe into the anonymous child of a histogram family."""
-        self.labels().observe(value)
-
 
 class MetricsRegistry:
     """One run's metric families, keyed and iterated by name.
 
-    Re-declaring a family with the identical signature returns the existing
-    one (instrumented layers can declare independently); any mismatch in
-    kind, labels or bucket layout is a :class:`ConfigError`.
+    Instrumented layers declare their families independently
+    (:meth:`declare`) and record through :meth:`inc` / :meth:`observe`.
+    ``clock`` (the simulated time) keys the fleet pass: every ``_fleet``
+    child of the registry is filled by one pass over the fleet per clock
+    value, however many summing gauges read it. Without a clock, every
+    read makes the pass.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._families: dict[str, MetricFamily] = {}
+        self.clock = clock
+        #: one (axis, reader, other label values) per ``_fleet`` child
+        self._fleet_terms: list[tuple[FoldAxis, Callable, tuple]] = []
+        self._fleet_at: float | None = None
+        self._fleet_sums: list[float] = []
 
-    def _declare(
+    def declare(
         self,
         name: str,
         kind: str,
-        help: str,
-        label_names: tuple[str, ...],
+        help: str = "",
+        labels: tuple = (),
+        *,
         buckets: tuple[float, ...] | None = None,
+        read: Callable[..., float] | None = None,
+        sums: bool = False,
     ) -> MetricFamily:
-        existing = self._families.get(name)
-        if existing is not None:
-            if (
-                existing.kind != kind
-                or existing.label_names != tuple(label_names)
-                or existing.buckets != (tuple(buckets) if buckets else None)
-            ):
-                raise ConfigError(
-                    f"metric family {name!r} re-declared with a different "
-                    "kind, label schema or bucket layout"
+        """Declare (or fetch) a family and create its children.
+
+        Each of ``labels`` is a bare label name, or a ``(name, values)``
+        pair naming its children's values: a tuple, or (first label only)
+        a :class:`FoldAxis`, which the family's :meth:`~MetricFamily.labels`
+        then folds by. Counters and histograms get a zero child per
+        combination of values. A gauge gets one callback child per
+        combination of detail keys, reading ``read(*values)``; ``sums`` on
+        a capped axis adds a ``_fleet`` child per combination of the other
+        labels. Re-declaring with the same kind, label names and buckets
+        returns the existing family; any mismatch is a
+        :class:`ConfigError`.
+        """
+        labels = [(x, ()) if isinstance(x, str) else x for x in labels]
+        label_names = tuple(label for label, _values in labels)
+        family = self._families.get(name)
+        if family is None:
+            family = MetricFamily(name, kind, help, label_names, buckets=buckets)
+            self._families[name] = family
+        elif (family.kind, family.label_names, family.buckets) != (
+            kind, label_names, tuple(buckets) if buckets else None
+        ):
+            raise ConfigError(
+                f"metric family {name!r} re-declared with a different "
+                "kind, label schema or bucket layout"
+            )
+        if not labels:
+            if read is not None:
+                family.child().set_function(read)
+            return family
+        first, *rest = (values for _label, values in labels)
+        if isinstance(first, FoldAxis):
+            family.fold = family.fold or first
+        else:
+            first = FoldAxis(first, len(first))
+        combos = list(itertools.product(*rest))
+        if read is None:
+            for head in first.counter_labels():
+                for combo in combos:
+                    family.child(head, *combo)
+            return family
+        for key in first.detail:
+            for combo in combos:
+                family.child(first.fmt(key), *combo).set_function(
+                    partial(read, key, *combo)
                 )
-            return existing
-        family = MetricFamily(name, kind, help, tuple(label_names), buckets=buckets)
-        self._families[name] = family
+        if sums and first.capped:
+            for combo in combos:
+                family.child(FLEET, *combo).set_function(
+                    partial(self._fleet_total, len(self._fleet_terms))
+                )
+                self._fleet_terms.append((first, read, combo))
         return family
 
-    def counter(
-        self, name: str, help: str = "", labels: tuple[str, ...] = ()
-    ) -> MetricFamily:
-        """Declare (or fetch) a counter family."""
-        return self._declare(name, "counter", help, labels)
+    def _fleet_total(self, slot: int) -> float:
+        """One summing gauge's whole-fleet total: the first read at a
+        clock value fills every ``_fleet`` child's total at once."""
+        now = self.clock() if self.clock is not None else None
+        if now is None or now != self._fleet_at:
+            self._fleet_at = now
+            self._fleet_sums = [
+                sum(map(read, axis.keys, *map(itertools.repeat, combo)))
+                for axis, read, combo in self._fleet_terms
+            ]
+        return self._fleet_sums[slot]
 
-    def gauge(
-        self, name: str, help: str = "", labels: tuple[str, ...] = ()
-    ) -> MetricFamily:
-        """Declare (or fetch) a gauge family."""
-        return self._declare(name, "gauge", help, labels)
+    def inc(self, name: str, n: float = 1.0, **labels: Any) -> None:
+        """Increment one child of a declared counter family."""
+        self.family(name).labels(**labels).inc(n)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = (),
-        labels: tuple[str, ...] = (),
-    ) -> MetricFamily:
-        """Declare (or fetch) a histogram family with a fixed layout."""
-        return self._declare(name, "histogram", help, labels, tuple(buckets))
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        """Observe into one child of a declared histogram family."""
+        self.family(name).labels(**labels).observe(value)
 
     def family(self, name: str) -> MetricFamily:
         """Look up one family; :class:`ConfigError` if undeclared."""

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from ..common.errors import ConfigError
 from .export import collect_metric_blocks, export_name
+from .fold import fleet_total_series
 
 __all__ = ["render_rollups", "rollup", "summarize_path"]
 
@@ -89,7 +90,9 @@ def rollup(block: dict) -> dict:
         times, means = _pointwise_mean(hit_rate)
         out["arc_hit_rate_curve"] = _curve_points(times, means)
 
-    ddt = _series_of(block, "zfs_ddt_core_bytes")
+    # past the detail cap, the compute tier's _fleet series already totals
+    # its detail nodes; the storage pool's series is added once
+    ddt = fleet_total_series(_series_of(block, "zfs_ddt_core_bytes"))
     if ddt:
         times, totals = _pointwise_sum(ddt)
         high = max(range(len(times)), key=lambda i: (totals[i], -times[i]))
@@ -177,7 +180,7 @@ def render_rollups(rollups: dict[str, dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_payload(path: Path) -> dict:
+def _load_payload(path: Path) -> tuple[Path, dict]:
     if path.is_dir():
         report = path / "report.json"
         if not report.is_file():
@@ -185,8 +188,11 @@ def _load_payload(path: Path) -> dict:
         path = report
     if not path.is_file():
         raise ConfigError(f"no such metrics file: {path}")
-    with path.open(encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return path, json.load(fh)
+    except ValueError as error:  # torn JSON or not UTF-8
+        raise ConfigError(f"{path}: not a JSON report ({error})") from None
 
 
 def summarize_path(path: str | Path) -> dict[str, dict]:
@@ -197,18 +203,23 @@ def summarize_path(path: str | Path) -> dict[str, dict]:
     Returns ``{block name: rollup}``; sweep points are prefixed with their
     point index (``point3.squirrel``).
     """
-    payload = _load_payload(Path(path))
+    report, payload = _load_payload(Path(path))
     rollups: dict[str, dict] = {}
     points = payload.get("points") if isinstance(payload, dict) else None
-    if isinstance(points, list):
-        for i, point in enumerate(points):
-            blocks = collect_metric_blocks(point, "report")
+    try:
+        if isinstance(points, list):
+            for i, point in enumerate(points):
+                blocks = collect_metric_blocks(point, "report")
+                for block_path, block in blocks.items():
+                    rollups[f"point{i}.{export_name(block_path)}"] = rollup(block)
+        else:
+            blocks = collect_metric_blocks(payload, "report")
             for block_path, block in blocks.items():
-                rollups[f"point{i}.{export_name(block_path)}"] = rollup(block)
-    else:
-        blocks = collect_metric_blocks(payload, "report")
-        for block_path, block in blocks.items():
-            rollups[export_name(block_path)] = rollup(block)
+                rollups[export_name(block_path)] = rollup(block)
+    except (KeyError, TypeError) as error:
+        raise ConfigError(
+            f"{report}: malformed metrics block (missing or mistyped {error})"
+        ) from None
     if not rollups:
         raise ConfigError(f"no metrics blocks found under {path}")
     return rollups

@@ -43,6 +43,9 @@ charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` / ``wait_s``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from ..boot.backends import ZfsCostModel
 from ..common.errors import ConfigError
@@ -58,7 +61,13 @@ from ..core.squirrel import (
 )
 from ..disk import DAS4_RAID0, DiskModel, TimedDisk
 from ..faults import FaultInjector, FaultPlan
-from ..metrics import MetricsRegistry, Sampler, TimeSeriesStore, metrics_block
+from ..metrics import (
+    FoldAxis,
+    MetricsRegistry,
+    Sampler,
+    TimeSeriesStore,
+    metrics_block,
+)
 from ..net import GBE_1, LinkProfile
 from ..obs import (
     BootAttribution,
@@ -180,8 +189,8 @@ class _ShardedNodeArc:
     whose images all land in one shard can only thrash that shard's slice.
 
     The aggregate surface (``stats``/``p``/``resident_bytes``/``clear``)
-    matches the plain ARC, so timeline gauges, the ``_fleet`` sweep, and the
-    fault injector's crash-wipe work unchanged."""
+    matches the plain ARC, so timeline gauges, the ARC metric families, and
+    the fault injector's crash-wipe work unchanged."""
 
     __slots__ = ("plan", "shards")
 
@@ -230,13 +239,230 @@ class _ShardedNodeArc:
         return total
 
 
-def _node_shard_ddt_core(pool, shard: str, single: bool) -> float:
+def _shard_node_ddt_core(rig: "TimedSquirrel", node: str, shard: str) -> int:
     """Resident DDT bytes of one shard's dedup domain on a node pool,
     without creating the domain (scrapes must never mutate)."""
-    if single:
-        return float(pool.ddt.in_core_bytes)
+    pool = rig.squirrel.cluster.node(node).pool
+    if rig.squirrel.sharding.n_shards == 1:
+        return pool.ddt.in_core_bytes
     ddt = pool.peek_domain_ddt(shard)
-    return float(ddt.in_core_bytes) if ddt is not None else 0.0
+    return ddt.in_core_bytes if ddt is not None else 0
+
+
+def _scvol(rig: "TimedSquirrel"):
+    return rig.squirrel.sharding.scvol
+
+
+class _Family(NamedTuple):
+    """One metric family the rig exports (see ``MetricsRegistry.declare``).
+
+    Each of ``labels`` is a rig axis name (``node`` and ``tenant``, capped at
+    :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``pool``, the storage
+    pool) or a ``(label, axis name or values)`` pair. ``read(rig, *label
+    values)`` reads a gauge. ``gate`` names the Squirrel attachment
+    (``placement``/``sharding``) the family needs, so a rig without it
+    exports what it did before the attachment existed.
+    """
+
+    name: str
+    kind: str
+    help: str
+    labels: tuple = ()
+    buckets: tuple[float, ...] | None = None
+    read: Callable[..., float] | None = None
+    sums: bool = False
+    gate: str | None = None
+
+
+def _pool_families(name: str, help: str, attr: str) -> tuple[_Family, _Family]:
+    """A pool gauge reading ``attr``: one child per compute node (summed
+    into ``_fleet`` past the cap) and the storage pool's ``tier=storage``
+    child. Compute pools are read through the node at scrape time: replica
+    sharing repoints ``node.pool`` to another ZPool on copy-on-write."""
+    read = attrgetter(attr)
+    return (
+        _Family(name, "gauge", help, ("node", ("tier", ("compute",))), sums=True,
+                read=lambda rig, node, _t: read(rig.squirrel.cluster.node(node).pool)),
+        _Family(name, "gauge", help, (("node", "pool"), ("tier", ("storage",))),
+                read=lambda rig, _p, _t: read(rig.squirrel.cluster.storage.pool)),
+    )
+
+
+def _pipe_families(name: str, help: str, read) -> tuple[_Family, _Family]:
+    """A link gauge over the detail nodes' NICs and every brick uplink."""
+    return (
+        _Family(name, "gauge", help, (("link", "node"), ("tier", ("nic",))),
+                read=lambda rig, link, _t: read(rig.nic[link])),
+        _Family(name, "gauge", help, (("link", "brick"), ("tier", ("brick",))),
+                read=lambda rig, link, _t: read(rig.brick[link])),
+    )
+
+
+#: every metric family a :class:`TimedSquirrel` rig exports. Counters and
+#: histograms are recorded by the timed operations; gauges read live
+#: simulation state (ARC geometry, DDT footprint, pipe utilisation) at
+#: scrape time, so the hot paths push no updates and scraping cannot
+#: perturb byte accounting.
+_FAMILIES = (
+    _Family("squirrel_boots_total", "counter", "Completed VM boots", ("node",)),
+    _Family("squirrel_boot_cache_hits_total", "counter",
+            "Boots served from the node's cVolume cache", ("node",)),
+    _Family("squirrel_boot_cold_total", "counter",
+            "Boots that streamed their boot set from storage", ("node",)),
+    _Family("squirrel_cold_read_bytes_total", "counter",
+            "Paper-scale bytes cold boots pulled over the network", ("node",)),
+    _Family("squirrel_boot_interrupts_total", "counter",
+            "Boot attempts preempted by a fault", ("node",)),
+    _Family("squirrel_registrations_total", "counter", "Image registrations completed"),
+    _Family("squirrel_resyncs_total", "counter",
+            "Offline-propagation catch-ups that moved data", (("kind", ()),)),
+    _Family("squirrel_resync_bytes_total", "counter",
+            "Bytes moved by resyncs (scaled units)"),
+    _Family("squirrel_gc_runs_total", "counter", "Garbage-collection sweeps"),
+    _Family("squirrel_gc_victims_total", "counter", "Snapshots reclaimed by GC"),
+    _Family("zfs_arc_hits_total", "counter", "ARC hits by tier",
+            ("node", ("tier", ("t1", "t2")))),
+    _Family("zfs_arc_ghost_hits_total", "counter", "ARC ghost-list hits by tier",
+            ("node", ("tier", ("b1", "b2")))),
+    _Family("zfs_arc_misses_total", "counter", "ARC misses", ("node",)),
+    _Family("zfs_arc_evictions_total", "counter", "ARC evictions by tier",
+            ("node", ("tier", ("t1", "t2")))),
+    _Family("squirrel_boot_latency_seconds", "histogram", "End-to-end boot latency",
+            buckets=LATENCY_BUCKETS),
+    _Family("squirrel_recovery_seconds", "histogram",
+            "First fault impact to boot completion", buckets=LATENCY_BUCKETS),
+    _Family("squirrel_register_latency_seconds", "histogram",
+            "Registration latency (boot-once + snapshot + multicast)",
+            buckets=LATENCY_BUCKETS),
+    _Family("squirrel_resync_latency_seconds", "histogram",
+            "Offline-propagation catch-up latency", buckets=LATENCY_BUCKETS),
+    _Family("zfs_arc_p_bytes", "gauge",
+            "ARC adaptive target for T1 (paper-scale bytes)", ("node",),
+            read=lambda rig, node: rig.arc[node].p),
+    _Family("zfs_arc_resident_bytes", "gauge",
+            "Bytes resident in the node's boot ARC (paper-scale)", ("node",),
+            read=lambda rig, node: rig.arc[node].resident_bytes, sums=True),
+    _Family("zfs_arc_hit_rate", "gauge", "Lifetime ARC hit rate", ("node",),
+            read=lambda rig, node: rig.arc[node].stats.hit_rate),
+    *_pool_families("zfs_ddt_entries", "Dedup-table entries", "ddt.entry_count"),
+    *_pool_families("zfs_ddt_core_bytes", "DDT resident RAM", "ddt.in_core_bytes"),
+    *_pool_families("zfs_pool_allocated_bytes", "Pool data bytes allocated after dedup",
+                    "data_bytes"),
+    *_pipe_families("net_pipe_utilization", "Lifetime busy fraction of a link",
+                    lambda pipe: pipe.busy_fraction()),
+    *_pipe_families("net_pipe_queue_depth", "Concurrent flows sharing a link",
+                    lambda pipe: pipe.active_flows),
+    *_pipe_families("net_pipe_moved_bytes",
+                    "Lifetime bytes admitted to a link (paper-scale)",
+                    lambda pipe: pipe.total_bytes),
+    _Family("net_gluster_degraded", "gauge",
+            "1 while any brick is out of the read rotation",
+            read=lambda rig: rig.squirrel.cluster.storage.gluster.degraded),
+    _Family("net_brick_served_bytes", "gauge", "Bytes served by a brick (scaled units)",
+            (("node", "brick"),),
+            read=lambda rig, node: (
+                rig.squirrel.cluster.storage.gluster.served_bytes(node))),
+    _Family("sim_cpu_queue_depth", "gauge", "Boots queued for a decompression core",
+            ("node",), read=lambda rig, node: rig.cpu[node].queue_length),
+    _Family("squirrel_boots_in_flight", "gauge", "Boots currently in flight", ("node",),
+            read=lambda rig, node: len(rig._inflight[node])),
+    _Family("placement_peer_redirects_total", "counter",
+            "Boot misses served by a peer holder instead of the origin", ("node",),
+            gate="placement"),
+    _Family("placement_redirect_bytes_total", "counter",
+            "Paper-scale bytes moved by peer redirects", gate="placement"),
+    _Family("placement_origin_fallbacks_total", "counter",
+            "Misses that fell back to glusterfs (no live holder)", gate="placement"),
+    _Family("placement_adoptions_total", "counter", "Promote-on-miss adoptions",
+            ("node",), gate="placement"),
+    _Family("placement_adopted_bytes_total", "counter",
+            "Paper-scale bytes installed by adoptions", gate="placement"),
+    _Family("placement_seed_bytes_total", "counter",
+            "Paper-scale receiver-ingress bytes moved by seeding",
+            (("transport", TRANSPORT_NAMES),), gate="placement"),
+    _Family("placement_hoarded_bytes", "gauge",
+            "Logical cache bytes hoarded on a node (scaled units)", ("node",),
+            read=lambda rig, node: (
+                rig.squirrel.placement.directory.hoarded_bytes(node)),
+            gate="placement"),
+    _Family("placement_images_hoarded", "gauge", "Images whose cache a node holds",
+            ("node",),
+            read=lambda rig, node: len(
+                rig.squirrel.placement.directory.images_of(node)),
+            gate="placement"),
+    _Family("placement_images_tracked", "gauge",
+            "Images tracked by the placement directory",
+            read=lambda rig: len(rig.squirrel.placement.directory.images()),
+            gate="placement"),
+    _Family("squirrel_tenant_boots_total", "counter", "Completed VM boots per tenant",
+            ("tenant",), gate="sharding"),
+    _Family("squirrel_tenant_cache_hits_total", "counter",
+            "Per-tenant boots served from the node's cVolume cache", ("tenant",),
+            gate="sharding"),
+    _Family("squirrel_tenant_arc_hits_total", "counter",
+            "Per-tenant ARC record hits during warm boots", ("tenant",),
+            gate="sharding"),
+    _Family("squirrel_tenant_arc_misses_total", "counter",
+            "Per-tenant ARC record misses during warm boots", ("tenant",),
+            gate="sharding"),
+    _Family("squirrel_tenant_hit_rate", "gauge",
+            "Lifetime per-tenant ARC hit rate (the noisy-neighbor SLO)", ("tenant",),
+            gate="sharding",
+            read=lambda rig, t: rig.squirrel.sharding.tenant_hit_rate(t)),
+    _Family("zfs_shard_arc_hits_total", "counter",
+            "ARC hits within one shard's slice of a node ARC", ("node", "shard"),
+            gate="sharding"),
+    _Family("zfs_shard_arc_misses_total", "counter",
+            "ARC misses within one shard's slice of a node ARC", ("node", "shard"),
+            gate="sharding"),
+    _Family("zfs_shard_arc_resident_bytes", "gauge",
+            "Bytes resident in one shard's ARC slice (paper-scale)", ("node", "shard"),
+            sums=True, gate="sharding",
+            read=lambda rig, node, s: rig.arc[node].shards[s].resident_bytes),
+    _Family("zfs_shard_arc_hit_rate", "gauge",
+            "Lifetime hit rate of one shard's ARC slice", ("node", "shard"),
+            gate="sharding",
+            read=lambda rig, node, s: rig.arc[node].shards[s].stats.hit_rate),
+    _Family("zfs_shard_node_ddt_core_bytes", "gauge",
+            "Resident DDT bytes of a shard's dedup domain on a node", ("node", "shard"),
+            read=_shard_node_ddt_core, sums=True, gate="sharding"),
+    _Family("zfs_shard_ddt_entries", "gauge",
+            "scVolume DDT entries in one shard's dedup domain", ("shard",),
+            read=lambda rig, s: _scvol(rig).ddt(s).entry_count, gate="sharding"),
+    _Family("zfs_shard_ddt_core_bytes", "gauge", "scVolume DDT resident RAM per shard",
+            ("shard",), read=lambda rig, s: _scvol(rig).ddt(s).in_core_bytes,
+            gate="sharding"),
+    # the stored high-water only advances on refresh(); fold in the live
+    # value so scrapes between refreshes stay monotone without mutating
+    # router state
+    _Family("zfs_shard_ddt_core_high_bytes", "gauge",
+            "High-water mark of a shard DDT's resident RAM", ("shard",),
+            read=lambda rig, s: max(_scvol(rig).ddt_core_high_bytes(s),
+                                    _scvol(rig).ddt(s).in_core_bytes),
+            gate="sharding"),
+    _Family("zfs_shard_quota_pressure", "gauge",
+            "Shard referenced bytes over its byte quota", ("shard",),
+            read=lambda rig, s: _scvol(rig).quota_pressure(s), gate="sharding"),
+    # lifetime totals read off the router (callback gauges, like
+    # net_pipe_moved_bytes): evictions happen inside untimed setup
+    # registrations too, which manual counters would miss
+    _Family("zfs_shard_quota_evictions_total", "gauge",
+            "Lifetime hoards evicted to honour a shard quota", ("shard",),
+            read=lambda rig, s: _scvol(rig).evictions(s), gate="sharding"),
+    _Family("zfs_shard_quota_evicted_bytes_total", "gauge",
+            "Lifetime bytes reclaimed by shard-quota evictions (scaled units)",
+            ("shard",), read=lambda rig, s: _scvol(rig).evicted_bytes(s),
+            gate="sharding"),
+    _Family("zfs_shard_dedup_loss_bytes", "gauge",
+            "Bytes stored once per shard that a global DDT would share",
+            read=lambda rig: _scvol(rig).dedup_loss_bytes(), gate="sharding"),
+)
+
+
+def _label_values(spec, axes: dict):
+    """Resolve one ``_Family.labels`` entry to ``(label, values)``."""
+    label, values = (spec, spec) if isinstance(spec, str) else spec
+    return label, axes[values] if isinstance(values, str) else values
 
 
 class TimedSquirrel:
@@ -250,7 +476,6 @@ class TimedSquirrel:
         timeline: Timeline,
         *,
         tracer: SpanTracer | None = None,
-        metrics: MetricsRegistry | None = None,
         cpu_cores_per_node: int = 2,
         arc_bytes_per_node: int = ARC_BYTES_PER_NODE,
     ) -> None:
@@ -260,7 +485,7 @@ class TimedSquirrel:
         self.engine = engine
         self.timeline = timeline
         self.tracer = tracer or SpanTracer(engine)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry(clock=lambda: engine.now)
         #: timed transfers replay the paper-scale byte counts
         self.scale_up = self.catalog.scaled_up
         cluster = squirrel.cluster
@@ -319,533 +544,27 @@ class TimedSquirrel:
         self._inflight: dict[str, dict[_InflightBoot, None]] = {
             node.name: {} for node in cluster.compute
         }
-        self._instrument()
-
-    def _instrument(self) -> None:
-        """Declare every metric family this rig exports.
-
-        Per-node children are pre-created so the exposition covers the whole
-        fleet (at zero) from the first scrape; callback gauges read live
-        simulation state — ARC geometry, DDT footprint, pipe utilisation —
-        at scrape time without the hot paths pushing updates. Scraping never
-        mutates anything, so metrics cannot perturb byte accounting.
-
-        Fleets larger than :data:`METRICS_NODE_DETAIL` export per-node
-        series for the first ``METRICS_NODE_DETAIL`` nodes only; the rest
-        share a "_other" counter child and a "_fleet" aggregate gauge, so
-        the scrape cost is bounded while fleet-wide sums stay exact.
-        """
-        m = self.metrics
-        cluster = self.squirrel.cluster
-        all_names = [node.name for node in cluster.compute]
-        names = all_names[:METRICS_NODE_DETAIL]
-        self._node_detail = frozenset(names)
-        self._capped = len(all_names) > len(names)
-        self._m_boots = m.counter(
-            "squirrel_boots_total", "Completed VM boots", labels=("node",)
-        )
-        self._m_cache_hits = m.counter(
-            "squirrel_boot_cache_hits_total",
-            "Boots served from the node's cVolume cache",
-            labels=("node",),
-        )
-        self._m_cold = m.counter(
-            "squirrel_boot_cold_total",
-            "Boots that streamed their boot set from storage",
-            labels=("node",),
-        )
-        self._m_cold_bytes = m.counter(
-            "squirrel_cold_read_bytes_total",
-            "Paper-scale bytes cold boots pulled over the network",
-            labels=("node",),
-        )
-        self._m_interrupts = m.counter(
-            "squirrel_boot_interrupts_total",
-            "Boot attempts preempted by a fault",
-            labels=("node",),
-        )
-        self._m_registrations = m.counter(
-            "squirrel_registrations_total", "Image registrations completed"
-        )
-        self._m_resyncs = m.counter(
-            "squirrel_resyncs_total",
-            "Offline-propagation catch-ups that moved data",
-            labels=("kind",),
-        )
-        self._m_resync_bytes = m.counter(
-            "squirrel_resync_bytes_total", "Bytes moved by resyncs (scaled units)"
-        )
-        self._m_gc_runs = m.counter(
-            "squirrel_gc_runs_total", "Garbage-collection sweeps"
-        )
-        self._m_gc_victims = m.counter(
-            "squirrel_gc_victims_total", "Snapshots reclaimed by GC"
-        )
-        self._m_arc_hits = m.counter(
-            "zfs_arc_hits_total", "ARC hits by tier", labels=("node", "tier")
-        )
-        self._m_arc_ghosts = m.counter(
-            "zfs_arc_ghost_hits_total",
-            "ARC ghost-list hits by tier",
-            labels=("node", "tier"),
-        )
-        self._m_arc_misses = m.counter(
-            "zfs_arc_misses_total", "ARC misses", labels=("node",)
-        )
-        self._m_arc_evictions = m.counter(
-            "zfs_arc_evictions_total",
-            "ARC evictions by tier",
-            labels=("node", "tier"),
-        )
-        self._m_boot_latency = m.histogram(
-            "squirrel_boot_latency_seconds",
-            "End-to-end boot latency",
-            buckets=LATENCY_BUCKETS,
-        )
-        self._m_recovery = m.histogram(
-            "squirrel_recovery_seconds",
-            "First fault impact to boot completion",
-            buckets=LATENCY_BUCKETS,
-        )
-        self._m_register_latency = m.histogram(
-            "squirrel_register_latency_seconds",
-            "Registration latency (boot-once + snapshot + multicast)",
-            buckets=LATENCY_BUCKETS,
-        )
-        self._m_resync_latency = m.histogram(
-            "squirrel_resync_latency_seconds",
-            "Offline-propagation catch-up latency",
-            buckets=LATENCY_BUCKETS,
-        )
-        for name in names + (["_other"] if self._capped else []):
-            for family in (
-                self._m_boots, self._m_cache_hits, self._m_cold,
-                self._m_cold_bytes, self._m_interrupts, self._m_arc_misses,
-            ):
-                family.labels(node=name)
-            for tier in ("t1", "t2"):
-                self._m_arc_hits.labels(node=name, tier=tier)
-                self._m_arc_evictions.labels(node=name, tier=tier)
-            for tier in ("b1", "b2"):
-                self._m_arc_ghosts.labels(node=name, tier=tier)
-        arc_p = m.gauge(
-            "zfs_arc_p_bytes",
-            "ARC adaptive target for T1 (paper-scale bytes)",
-            labels=("node",),
-        )
-        arc_resident = m.gauge(
-            "zfs_arc_resident_bytes",
-            "Bytes resident in the node's boot ARC (paper-scale)",
-            labels=("node",),
-        )
-        arc_rate = m.gauge(
-            "zfs_arc_hit_rate", "Lifetime ARC hit rate", labels=("node",)
-        )
-        for name in names:
-            arc = self.arc[name]
-            arc_p.labels(node=name).set_function(lambda a=arc: float(a.p))
-            arc_resident.labels(node=name).set_function(
-                lambda a=arc: float(a.resident_bytes)
-            )
-            arc_rate.labels(node=name).set_function(
-                lambda a=arc: float(a.stats.hit_rate)
-            )
-        ddt_entries = m.gauge(
-            "zfs_ddt_entries", "Dedup-table entries", labels=("node", "tier")
-        )
-        ddt_core = m.gauge(
-            "zfs_ddt_core_bytes", "DDT resident RAM", labels=("node", "tier")
-        )
-        pool_data = m.gauge(
-            "zfs_pool_allocated_bytes",
-            "Pool data bytes allocated after dedup",
-            labels=("node", "tier"),
-        )
-        # compute gauges read through the node: replica sharing repoints
-        # ``node.pool`` to a different ZPool object on copy-on-write splits,
-        # so binding the pool at instrument time would scrape stale state
-        for node in cluster.compute[:METRICS_NODE_DETAIL]:
-            ddt_entries.labels(node=node.name, tier="compute").set_function(
-                lambda n=node: float(n.pool.ddt.entry_count)
-            )
-            ddt_core.labels(node=node.name, tier="compute").set_function(
-                lambda n=node: float(n.pool.ddt.in_core_bytes)
-            )
-            pool_data.labels(node=node.name, tier="compute").set_function(
-                lambda n=node: float(n.pool.data_bytes)
-            )
-        spool = cluster.storage.pool
-        ddt_entries.labels(node=spool.name, tier="storage").set_function(
-            lambda p=spool: float(p.ddt.entry_count)
-        )
-        ddt_core.labels(node=spool.name, tier="storage").set_function(
-            lambda p=spool: float(p.ddt.in_core_bytes)
-        )
-        pool_data.labels(node=spool.name, tier="storage").set_function(
-            lambda p=spool: float(p.data_bytes)
-        )
-        if self._capped:
-            # one whole-fleet aggregate replaces the dropped per-node gauge
-            # series; the four sums share a single per-timestamp sweep so a
-            # scrape walks the fleet once, not once per gauge
-            sweep_cache: dict = {"now": None, "vals": (0.0, 0.0, 0.0, 0.0)}
-
-            def _fleet(idx, cache=sweep_cache, nodes=cluster.compute,
-                       arcs=self.arc, engine=self.engine):
-                if cache["now"] != engine.now:
-                    entries = core = data = 0.0
-                    for node in nodes:
-                        pool = node.pool
-                        entries += pool.ddt.entry_count
-                        core += pool.ddt.in_core_bytes
-                        data += pool.data_bytes
-                    resident = float(
-                        sum(a.resident_bytes for a in arcs.values())
-                    )
-                    cache["now"] = engine.now
-                    cache["vals"] = (entries, core, data, resident)
-                return cache["vals"][idx]
-
-            ddt_entries.labels(node="_fleet", tier="compute").set_function(
-                lambda: _fleet(0)
-            )
-            ddt_core.labels(node="_fleet", tier="compute").set_function(
-                lambda: _fleet(1)
-            )
-            pool_data.labels(node="_fleet", tier="compute").set_function(
-                lambda: _fleet(2)
-            )
-            arc_resident.labels(node="_fleet").set_function(
-                lambda: _fleet(3)
-            )
-        utilization = m.gauge(
-            "net_pipe_utilization",
-            "Lifetime busy fraction of a link",
-            labels=("link", "tier"),
-        )
-        queue_depth = m.gauge(
-            "net_pipe_queue_depth",
-            "Concurrent flows sharing a link",
-            labels=("link", "tier"),
-        )
-        moved_bytes = m.gauge(
-            "net_pipe_moved_bytes",
-            "Lifetime bytes admitted to a link (paper-scale)",
-            labels=("link", "tier"),
-        )
-        nic_detail = {
-            name: self.nic[name] for name in names if name in self.nic
+        cap = METRICS_NODE_DETAIL
+        axes = {
+            "node": FoldAxis([node.name for node in cluster.compute], cap),
+            "brick": tuple(self.brick),
+            "pool": (cluster.storage.pool.name,),
         }
-        for tier, pipes in (("nic", nic_detail), ("brick", self.brick)):
-            for name, pipe in pipes.items():
-                utilization.labels(link=name, tier=tier).set_function(
-                    lambda p=pipe: p.busy_fraction()
-                )
-                queue_depth.labels(link=name, tier=tier).set_function(
-                    lambda p=pipe: float(p.active_flows)
-                )
-                moved_bytes.labels(link=name, tier=tier).set_function(
-                    lambda p=pipe: float(p.total_bytes)
-                )
-        gluster = cluster.storage.gluster
-        m.gauge(
-            "net_gluster_degraded",
-            "1 while any brick is out of the read rotation",
-        ).set_function(lambda g=gluster: float(g.degraded))
-        served = m.gauge(
-            "net_brick_served_bytes",
-            "Bytes served by a brick (scaled units)",
-            labels=("node",),
-        )
-        for node in cluster.storage.nodes:
-            served.labels(node=node.name).set_function(
-                lambda g=gluster, n=node.name: float(g.served_bytes(n))
-            )
-        cpu_queue = m.gauge(
-            "sim_cpu_queue_depth",
-            "Boots queued for a decompression core",
-            labels=("node",),
-        )
-        inflight = m.gauge(
-            "squirrel_boots_in_flight",
-            "Boots currently in flight",
-            labels=("node",),
-        )
-        for name in names:
-            cpu_queue.labels(node=name).set_function(
-                lambda r=self.cpu[name]: float(r.queue_length)
-            )
-            inflight.labels(node=name).set_function(
-                lambda b=self._inflight[name]: float(len(b))
-            )
-        # placement instruments exist only when a coordinator is attached —
-        # a placement-free rig's metrics block stays byte-identical to
-        # pre-placement builds.
-        placement = self.squirrel.placement
-        if placement is not None:
-            self._m_redirects = m.counter(
-                "placement_peer_redirects_total",
-                "Boot misses served by a peer holder instead of the origin",
-                labels=("node",),
-            )
-            self._m_redirect_bytes = m.counter(
-                "placement_redirect_bytes_total",
-                "Paper-scale bytes moved by peer redirects",
-            )
-            self._m_fallbacks = m.counter(
-                "placement_origin_fallbacks_total",
-                "Misses that fell back to glusterfs (no live holder)",
-            )
-            self._m_adoptions = m.counter(
-                "placement_adoptions_total",
-                "Promote-on-miss adoptions",
-                labels=("node",),
-            )
-            self._m_adopted_bytes = m.counter(
-                "placement_adopted_bytes_total",
-                "Paper-scale bytes installed by adoptions",
-            )
-            self._m_seed_bytes = m.counter(
-                "placement_seed_bytes_total",
-                "Paper-scale receiver-ingress bytes moved by seeding",
-                labels=("transport",),
-            )
-            for name in names + (["_other"] if self._capped else []):
-                self._m_redirects.labels(node=name)
-                self._m_adoptions.labels(node=name)
-            for transport in TRANSPORT_NAMES:
-                self._m_seed_bytes.labels(transport=transport)
-            directory = placement.directory
-            hoarded = m.gauge(
-                "placement_hoarded_bytes",
-                "Logical cache bytes hoarded on a node (scaled units)",
-                labels=("node",),
-            )
-            images_hoarded = m.gauge(
-                "placement_images_hoarded",
-                "Images whose cache a node holds",
-                labels=("node",),
-            )
-            for name in names:
-                hoarded.labels(node=name).set_function(
-                    lambda d=directory, n=name: float(d.hoarded_bytes(n))
-                )
-                images_hoarded.labels(node=name).set_function(
-                    lambda d=directory, n=name: float(len(d.images_of(n)))
-                )
-            m.gauge(
-                "placement_images_tracked",
-                "Images tracked by the placement directory",
-            ).set_function(lambda d=directory: float(len(d.images())))
-        # sharding instruments exist only when a ShardRouter is attached —
-        # an unsharded rig's metrics block stays byte-identical to
-        # pre-sharding builds.
-        sharding = self.squirrel.sharding
         if sharding is not None:
-            shards = list(sharding.names)
-            single = sharding.n_shards == 1
-            # per-tenant families: the tenant axis is capped the same way
-            # the node axis is — detail children for the first
-            # METRICS_NODE_DETAIL tenants, a shared "_other" child beyond
-            # (fleet sums stay exact), and no gauge series past the cap.
-            tenant_ids = [int(t) for t in getattr(sharding, "tenants", ())]
-            detail_ids = tenant_ids[:METRICS_NODE_DETAIL]
-            self._tenant_detail = frozenset(
-                f"t{t:02d}" for t in detail_ids
+            axes["shard"] = sharding.names
+            axes["tenant"] = FoldAxis(
+                sharding.tenants, cap, fmt=lambda t: f"t{t:02d}"
             )
-            self._tenant_capped = len(tenant_ids) > len(detail_ids)
-            self._m_tenant_boots = m.counter(
-                "squirrel_tenant_boots_total",
-                "Completed VM boots per tenant",
-                labels=("tenant",),
+        for family in _FAMILIES:
+            if family.gate and getattr(squirrel, family.gate) is None:
+                continue
+            self.metrics.declare(
+                family.name, family.kind, family.help,
+                tuple(_label_values(spec, axes) for spec in family.labels),
+                buckets=family.buckets,
+                read=family.read and partial(family.read, self),
+                sums=family.sums,
             )
-            self._m_tenant_cache_hits = m.counter(
-                "squirrel_tenant_cache_hits_total",
-                "Per-tenant boots served from the node's cVolume cache",
-                labels=("tenant",),
-            )
-            self._m_tenant_arc_hits = m.counter(
-                "squirrel_tenant_arc_hits_total",
-                "Per-tenant ARC record hits during warm boots",
-                labels=("tenant",),
-            )
-            self._m_tenant_arc_misses = m.counter(
-                "squirrel_tenant_arc_misses_total",
-                "Per-tenant ARC record misses during warm boots",
-                labels=("tenant",),
-            )
-            tenant_labels = [f"t{t:02d}" for t in detail_ids]
-            for label in tenant_labels + (
-                ["_other"] if self._tenant_capped else []
-            ):
-                for family in (
-                    self._m_tenant_boots, self._m_tenant_cache_hits,
-                    self._m_tenant_arc_hits, self._m_tenant_arc_misses,
-                ):
-                    family.labels(tenant=label)
-            tenant_rate = m.gauge(
-                "squirrel_tenant_hit_rate",
-                "Lifetime per-tenant ARC hit rate (the noisy-neighbor SLO)",
-                labels=("tenant",),
-            )
-            for t in detail_ids:
-                tenant_rate.labels(tenant=f"t{t:02d}").set_function(
-                    lambda s=sharding, t=t: float(s.tenant_hit_rate(t))
-                )
-            # per-(node, shard) ARC counters, folded past the node cap
-            self._m_shard_arc_hits = m.counter(
-                "zfs_shard_arc_hits_total",
-                "ARC hits within one shard's slice of a node ARC",
-                labels=("node", "shard"),
-            )
-            self._m_shard_arc_misses = m.counter(
-                "zfs_shard_arc_misses_total",
-                "ARC misses within one shard's slice of a node ARC",
-                labels=("node", "shard"),
-            )
-            for name in names + (["_other"] if self._capped else []):
-                for shard in shards:
-                    self._m_shard_arc_hits.labels(node=name, shard=shard)
-                    self._m_shard_arc_misses.labels(node=name, shard=shard)
-            shard_resident = m.gauge(
-                "zfs_shard_arc_resident_bytes",
-                "Bytes resident in one shard's ARC slice (paper-scale)",
-                labels=("node", "shard"),
-            )
-            shard_rate = m.gauge(
-                "zfs_shard_arc_hit_rate",
-                "Lifetime hit rate of one shard's ARC slice",
-                labels=("node", "shard"),
-            )
-            shard_node_core = m.gauge(
-                "zfs_shard_node_ddt_core_bytes",
-                "Resident DDT bytes of a shard's dedup domain on a node",
-                labels=("node", "shard"),
-            )
-            for node in cluster.compute[:METRICS_NODE_DETAIL]:
-                arcs = self.arc[node.name].shards
-                for shard in shards:
-                    arc = arcs[shard]
-                    shard_resident.labels(
-                        node=node.name, shard=shard
-                    ).set_function(lambda a=arc: float(a.resident_bytes))
-                    shard_rate.labels(
-                        node=node.name, shard=shard
-                    ).set_function(lambda a=arc: float(a.stats.hit_rate))
-                    shard_node_core.labels(
-                        node=node.name, shard=shard
-                    ).set_function(
-                        lambda n=node, s=shard, single=single:
-                        _node_shard_ddt_core(n.pool, s, single)
-                    )
-            if self._capped:
-                # one per-shard fleet aggregate replaces the dropped
-                # per-node series; both sums share one per-timestamp sweep
-                shard_sweep: dict = {"now": None, "vals": {}}
-
-                def _shard_fleet(idx, shard, cache=shard_sweep,
-                                 nodes=cluster.compute, arcs=self.arc,
-                                 engine=self.engine, shards=tuple(shards),
-                                 single=single):
-                    if cache["now"] != engine.now:
-                        vals = {}
-                        for s in shards:
-                            resident = float(sum(
-                                arcs[n.name].shards[s].resident_bytes
-                                for n in nodes
-                            ))
-                            core = float(sum(
-                                _node_shard_ddt_core(n.pool, s, single)
-                                for n in nodes
-                            ))
-                            vals[s] = (resident, core)
-                        cache["now"] = engine.now
-                        cache["vals"] = vals
-                    return cache["vals"][shard][idx]
-
-                for shard in shards:
-                    shard_resident.labels(
-                        node="_fleet", shard=shard
-                    ).set_function(lambda s=shard: _shard_fleet(0, s))
-                    shard_node_core.labels(
-                        node="_fleet", shard=shard
-                    ).set_function(lambda s=shard: _shard_fleet(1, s))
-            # storage-side per-shard families over the scVolume's domains
-            sp = sharding.scvol
-            shard_entries = m.gauge(
-                "zfs_shard_ddt_entries",
-                "scVolume DDT entries in one shard's dedup domain",
-                labels=("shard",),
-            )
-            shard_core = m.gauge(
-                "zfs_shard_ddt_core_bytes",
-                "scVolume DDT resident RAM per shard",
-                labels=("shard",),
-            )
-            shard_core_high = m.gauge(
-                "zfs_shard_ddt_core_high_bytes",
-                "High-water mark of a shard DDT's resident RAM",
-                labels=("shard",),
-            )
-            shard_pressure = m.gauge(
-                "zfs_shard_quota_pressure",
-                "Shard referenced bytes over its byte quota",
-                labels=("shard",),
-            )
-            # lifetime totals read off the router (callback gauges, like
-            # net_pipe_moved_bytes): evictions happen inside untimed setup
-            # registrations too, which manual counters would miss
-            shard_evictions = m.gauge(
-                "zfs_shard_quota_evictions_total",
-                "Lifetime hoards evicted to honour a shard quota",
-                labels=("shard",),
-            )
-            shard_evicted_bytes = m.gauge(
-                "zfs_shard_quota_evicted_bytes_total",
-                "Lifetime bytes reclaimed by shard-quota evictions "
-                "(scaled units)",
-                labels=("shard",),
-            )
-            for shard in shards:
-                shard_entries.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(sp.ddt(s).entry_count)
-                )
-                shard_core.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(sp.ddt(s).in_core_bytes)
-                )
-                # the stored high-water only advances on refresh(); fold in
-                # the live value so scrapes between refreshes stay monotone
-                # without mutating router state
-                shard_core_high.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(max(
-                        sp.ddt_core_high_bytes(s), sp.ddt(s).in_core_bytes
-                    ))
-                )
-                shard_pressure.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(sp.quota_pressure(s))
-                )
-                shard_evictions.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(sp.evictions(s))
-                )
-                shard_evicted_bytes.labels(shard=shard).set_function(
-                    lambda sp=sp, s=shard: float(sp.evicted_bytes(s))
-                )
-            m.gauge(
-                "zfs_shard_dedup_loss_bytes",
-                "Bytes stored once per shard that a global DDT would share",
-            ).set_function(lambda sp=sp: float(sp.dedup_loss_bytes()))
-
-    def _tenant_label(self, tenant_id: int) -> str:
-        """Metric label for a tenant, folded past the detail cap the same
-        way node labels are."""
-        label = f"t{tenant_id:02d}"
-        return label if label in self._tenant_detail else "_other"
-
-    def _node_label(self, node_name: str) -> str:
-        """Metric label for a compute node: its own name inside the
-        per-node detail set, the shared "_other" child beyond it (fleet
-        totals across children stay exact either way)."""
-        return node_name if node_name in self._node_detail else "_other"
 
     # -- fault-injector queries ----------------------------------------------------
 
@@ -930,30 +649,34 @@ class TimedSquirrel:
                     if first_fail is None:
                         first_fail = engine.now
                     self.timeline.count("boot_interrupts")
-                    self._m_interrupts.labels(node=self._node_label(node_name)).inc()
+                    self.metrics.inc(
+                        "squirrel_boot_interrupts_total", node=node_name
+                    )
         finally:
             self._inflight[node_name].pop(handle, None)
         self.timeline.count("cache_hits" if cache_hit else "cold_boots")
         self.timeline.observe("boot_latency_s", engine.now - t0)
-        self._m_boots.labels(node=self._node_label(node_name)).inc()
-        (self._m_cache_hits if cache_hit else self._m_cold).labels(
-            node=self._node_label(node_name)
-        ).inc()
+        metrics = self.metrics
+        metrics.inc("squirrel_boots_total", node=node_name)
+        metrics.inc(
+            "squirrel_boot_cache_hits_total" if cache_hit
+            else "squirrel_boot_cold_total",
+            node=node_name,
+        )
         sharding = self.squirrel.sharding
         if sharding is not None and tenant is not None:
             sharding.note_tenant_boot(tenant, cache_hit)
-            label = self._tenant_label(tenant)
-            self._m_tenant_boots.labels(tenant=label).inc()
+            metrics.inc("squirrel_tenant_boots_total", tenant=tenant)
             if cache_hit:
-                self._m_tenant_cache_hits.labels(tenant=label).inc()
-        self._m_boot_latency.observe(engine.now - t0)
+                metrics.inc("squirrel_tenant_cache_hits_total", tenant=tenant)
+        metrics.observe("squirrel_boot_latency_seconds", engine.now - t0)
         bt.att.observe(self.timeline)
         bt.root.end(
             cache_hit=cache_hit, interrupts=interrupts, **bt.att.buckets
         )
         if first_fail is not None:
             self.timeline.observe("recovery_s", engine.now - first_fail)
-            self._m_recovery.observe(engine.now - first_fail)
+            metrics.observe("squirrel_recovery_seconds", engine.now - first_fail)
         return engine.now - t0
 
     def _attempt(self, image_id, node_name, force_cold: bool, handle, bt,
@@ -981,7 +704,7 @@ class TimedSquirrel:
             if outcome is not None and self.squirrel.placement is not None:
                 # placement active but no live holder: glusterfs fallback
                 self.timeline.count("origin_fallbacks")
-                self._m_fallbacks.inc()
+                self.metrics.inc("placement_origin_fallbacks_total")
             yield from self._cold_fetch(node_name, moved, plan, handle, bt)
         return cache_hit
 
@@ -1034,39 +757,27 @@ class TimedSquirrel:
         self.timeline.count(
             "arc_evictions", delta["t1_evictions"] + delta["t2_evictions"]
         )
-        node_label = self._node_label(node_name)
-        self._m_arc_hits.labels(node=node_label, tier="t1").inc(delta["t1_hits"])
-        self._m_arc_hits.labels(node=node_label, tier="t2").inc(delta["t2_hits"])
-        self._m_arc_ghosts.labels(node=node_label, tier="b1").inc(
-            delta["b1_ghost_hits"]
-        )
-        self._m_arc_ghosts.labels(node=node_label, tier="b2").inc(
-            delta["b2_ghost_hits"]
-        )
-        self._m_arc_misses.labels(node=node_label).inc(delta["misses"])
-        self._m_arc_evictions.labels(node=node_label, tier="t1").inc(
-            delta["t1_evictions"]
-        )
-        self._m_arc_evictions.labels(node=node_label, tier="t2").inc(
-            delta["t2_evictions"]
-        )
+        inc = self.metrics.inc
+        for tier in ("t1", "t2"):
+            inc("zfs_arc_hits_total", delta[f"{tier}_hits"],
+                node=node_name, tier=tier)
+            inc("zfs_arc_evictions_total", delta[f"{tier}_evictions"],
+                node=node_name, tier=tier)
+        for tier in ("b1", "b2"):
+            inc("zfs_arc_ghost_hits_total", delta[f"{tier}_ghost_hits"],
+                node=node_name, tier=tier)
+        inc("zfs_arc_misses_total", delta["misses"], node=node_name)
         if shard is not None:
             shard_hits = delta["t1_hits"] + delta["t2_hits"]
-            self._m_shard_arc_hits.labels(
-                node=node_label, shard=shard
-            ).inc(shard_hits)
-            self._m_shard_arc_misses.labels(
-                node=node_label, shard=shard
-            ).inc(delta["misses"])
+            inc("zfs_shard_arc_hits_total", shard_hits,
+                node=node_name, shard=shard)
+            inc("zfs_shard_arc_misses_total", delta["misses"],
+                node=node_name, shard=shard)
             if tenant is not None:
                 sharding.note_tenant_arc(tenant, shard_hits, delta["misses"])
-                tenant_label = self._tenant_label(tenant)
-                self._m_tenant_arc_hits.labels(tenant=tenant_label).inc(
-                    shard_hits
-                )
-                self._m_tenant_arc_misses.labels(tenant=tenant_label).inc(
-                    delta["misses"]
-                )
+                inc("squirrel_tenant_arc_hits_total", shard_hits, tenant=tenant)
+                inc("squirrel_tenant_arc_misses_total", delta["misses"],
+                    tenant=tenant)
         self.timeline.gauge(f"arc_p:{node_name}", arc.p)
         self.timeline.gauge(f"arc_resident:{node_name}", arc.resident_bytes)
         # the block-pointer walk + DDT/ZAP lookup for every record of the
@@ -1116,7 +827,7 @@ class TimedSquirrel:
         node's NIC, then lands on the local disk (copy-on-read)."""
         gluster = self.squirrel.cluster.storage.gluster
         total = int(self.scale_up(moved))
-        self._m_cold_bytes.labels(node=self._node_label(node_name)).inc(total)
+        self.metrics.inc("squirrel_cold_read_bytes_total", total, node=node_name)
         fetch = bt.child(
             "gluster.fetch", n_bytes=total, degraded=gluster.degraded
         )
@@ -1170,8 +881,8 @@ class TimedSquirrel:
         total = int(self.scale_up(outcome.network_bytes))
         self.timeline.count("peer_redirects")
         self.timeline.count("redirect_bytes", outcome.network_bytes)
-        self._m_redirects.labels(node=self._node_label(node_name)).inc()
-        self._m_redirect_bytes.inc(total)
+        self.metrics.inc("placement_peer_redirects_total", node=node_name)
+        self.metrics.inc("placement_redirect_bytes_total", total)
         redirect = bt.child(
             "placement.redirect", peer=peer_name, n_bytes=total
         )
@@ -1212,8 +923,8 @@ class TimedSquirrel:
                     n_bytes=total,
                 )
                 self.timeline.count("adoptions")
-                self._m_adoptions.labels(node=self._node_label(node_name)).inc()
-                self._m_adopted_bytes.inc(total)
+                self.metrics.inc("placement_adoptions_total", node=node_name)
+                self.metrics.inc("placement_adopted_bytes_total", total)
                 adopt.end()
         except Interrupted:
             # the redirect died with the reader or its peer: withdraw the
@@ -1265,8 +976,8 @@ class TimedSquirrel:
         span.end(diff_bytes=int(self.scale_up(record.diff_bytes)))
         self.timeline.count("registrations")
         self.timeline.observe("register_latency_s", engine.now - t0)
-        self._m_registrations.inc()
-        self._m_register_latency.observe(engine.now - t0)
+        self.metrics.inc("squirrel_registrations_total")
+        self.metrics.observe("squirrel_register_latency_seconds", engine.now - t0)
         return record
 
     def _seed_flows(self, spec, placement, parent_span):
@@ -1308,9 +1019,8 @@ class TimedSquirrel:
                 if upload_share > 0:
                     transfers.append(self.nic[name].transfer(upload_share))
             yield self.engine.all_of(transfers)
-            self._m_seed_bytes.labels(transport=seed.transport).inc(
-                payload * len(holders)
-            )
+            self.metrics.inc("placement_seed_bytes_total",
+                             payload * len(holders), transport=seed.transport)
             self.timeline.count("seed_receiver_bytes", seed.receiver_bytes)
         span.end()
 
@@ -1334,15 +1044,14 @@ class TimedSquirrel:
                 # placement reseed: the directory's assigned slices, not a
                 # snapshot-chain replay
                 self.timeline.count("placement_reseeds")
-                self._m_resyncs.labels(kind="reseed").inc()
+                kind = "reseed"
             else:
                 self.timeline.count(
                     "incremental_resyncs" if incremental else "full_replications"
                 )
-                self._m_resyncs.labels(
-                    kind="incremental" if incremental else "full"
-                ).inc()
-            self._m_resync_bytes.inc(moved)
+                kind = "incremental" if incremental else "full"
+            self.metrics.inc("squirrel_resyncs_total", kind=kind)
+            self.metrics.inc("squirrel_resync_bytes_total", moved)
             scaled = int(self.scale_up(moved))
             primary = self.squirrel.cluster.storage.primary.name
             yield engine.all_of([
@@ -1351,7 +1060,7 @@ class TimedSquirrel:
             ])
         span.end(n_bytes=moved, incremental=incremental if moved else None)
         self.timeline.observe("resync_latency_s", engine.now - t0)
-        self._m_resync_latency.observe(engine.now - t0)
+        self.metrics.observe("squirrel_resync_latency_seconds", engine.now - t0)
         return moved
 
     def collect_garbage(self):
@@ -1362,8 +1071,8 @@ class TimedSquirrel:
         span.end(victims=len(victims))
         self.timeline.count("gc_runs")
         self.timeline.count("gc_victims", len(victims))
-        self._m_gc_runs.inc()
-        self._m_gc_victims.inc(len(victims))
+        self.metrics.inc("squirrel_gc_runs_total")
+        self.metrics.inc("squirrel_gc_victims_total", len(victims))
         return victims
 
     def _sync_clock(self) -> None:
@@ -1385,7 +1094,6 @@ class _Rig:
     engine: Engine
     timeline: Timeline
     timed: TimedSquirrel
-    metrics: MetricsRegistry
     store: TimeSeriesStore
     sampler: Sampler
 
@@ -1397,7 +1105,7 @@ class _Rig:
     def metrics_block(self) -> dict:
         """The canonical metrics block for this run (embed in the report)."""
         return metrics_block(
-            self.metrics,
+            self.timed.metrics,
             self.store,
             interval_s=self.sampler.interval_s,
             scrapes=self.sampler.scrapes,
@@ -1428,10 +1136,10 @@ def _build_rig(
     )
     squirrel = Squirrel(cluster=cluster, estimator=estimator, catalog=catalog)
     if placement_factory is not None:
-        # attach before TimedSquirrel so _instrument sees the coordinator
+        # attach before TimedSquirrel so its placement families exist
         squirrel.placement = placement_factory(squirrel)
     if sharding_factory is not None:
-        # attach + install before TimedSquirrel: _instrument reads the
+        # attach + install before TimedSquirrel: its shard families read the
         # router's shard datasets, and the per-node ARC layout depends on it
         router = sharding_factory(squirrel)
         squirrel.sharding = router
@@ -1441,12 +1149,11 @@ def _build_rig(
     # profiler): phase timers + events/s + the --progress heartbeat
     obs_runtime.attach(engine)
     timeline = Timeline(engine)
-    metrics = MetricsRegistry()
-    timed = TimedSquirrel(squirrel, catalog, engine, timeline, metrics=metrics)
+    timed = TimedSquirrel(squirrel, catalog, engine, timeline)
     store = TimeSeriesStore(capacity=METRICS_RING)
-    sampler = Sampler(engine, metrics, store, interval_s=metrics_interval_s)
+    sampler = Sampler(engine, timed.metrics, store, interval_s=metrics_interval_s)
     sampler.start()
-    return _Rig(catalog, squirrel, engine, timeline, timed, metrics, store, sampler)
+    return _Rig(catalog, squirrel, engine, timeline, timed, store, sampler)
 
 
 # -- boot storm -----------------------------------------------------------------------

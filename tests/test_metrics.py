@@ -111,34 +111,34 @@ class TestFormatNumber:
 class TestRegistry:
     def test_redeclare_identical_returns_same_family(self):
         reg = MetricsRegistry()
-        a = reg.counter("boots_total", labels=("node",))
-        b = reg.counter("boots_total", labels=("node",))
+        a = reg.declare("boots_total", "counter", labels=("node",))
+        b = reg.declare("boots_total", "counter", labels=("node",))
         assert a is b
 
     def test_redeclare_mismatch_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x_total")
+        reg.declare("x_total", "counter")
         with pytest.raises(ConfigError, match="re-declared"):
-            reg.gauge("x_total")
-        reg.histogram("lat", buckets=(1.0, 2.0))
+            reg.declare("x_total", "gauge")
+        reg.declare("lat", "histogram", buckets=(1.0, 2.0))
         with pytest.raises(ConfigError, match="re-declared"):
-            reg.histogram("lat", buckets=(1.0, 3.0))
+            reg.declare("lat", "histogram", buckets=(1.0, 3.0))
 
     def test_label_schema_enforced(self):
-        family = MetricsRegistry().counter("y_total", labels=("node",))
+        family = MetricsRegistry().declare("y_total", "counter", labels=("node",))
         with pytest.raises(ConfigError, match="takes labels"):
             family.labels(tier="t1")
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ConfigError, match="invalid metric name"):
-            MetricsRegistry().counter("bad name")
+            MetricsRegistry().declare("bad name", "counter")
         with pytest.raises(ConfigError, match="invalid label name"):
-            MetricsRegistry().counter("ok_total", labels=("bad-label",))
+            MetricsRegistry().declare("ok_total", "counter", labels=("bad-label",))
 
     def test_families_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("zz_total")
-        reg.gauge("aa")
+        reg.declare("zz_total", "counter")
+        reg.declare("aa", "gauge")
         assert [f.name for f in reg.families()] == ["aa", "zz_total"]
 
 
@@ -191,7 +191,7 @@ class TestSampler:
     def _rig(self, interval_s=5.0):
         engine = Engine(seed=0)
         reg = MetricsRegistry()
-        reg.gauge("clock").set_function(lambda: engine.now)
+        reg.declare("clock", "gauge", read=lambda: engine.now)
         store = TimeSeriesStore()
         sampler = Sampler(engine, reg, store, interval_s=interval_s)
         return engine, store, sampler
@@ -230,12 +230,12 @@ class TestSampler:
 
 def _toy_block():
     reg = MetricsRegistry()
-    reg.counter("boots_total", "Boots", labels=("node",))
-    reg.family("boots_total").labels(node="c0").inc(3)
-    reg.gauge("arc_p", "ARC p").set(0.25)
-    reg.histogram("lat_seconds", "Latency", buckets=(1.0, 5.0))
-    reg.family("lat_seconds").observe(0.5)
-    reg.family("lat_seconds").observe(9.0)
+    reg.declare("boots_total", "counter", "Boots", labels=("node",))
+    reg.inc("boots_total", 3, node="c0")
+    reg.declare("arc_p", "gauge", "ARC p").labels().set(0.25)
+    reg.declare("lat_seconds", "histogram", "Latency", buckets=(1.0, 5.0))
+    reg.observe("lat_seconds", 0.5)
+    reg.observe("lat_seconds", 9.0)
     store = TimeSeriesStore()
     store.append("arc_p", (), 0.0, 0.1)
     store.append("arc_p", (), 5.0, 0.25)
@@ -547,7 +547,7 @@ class TestSamplerRearmEdges:
     def _rig(self, interval_s=5.0):
         engine = Engine(seed=0)
         reg = MetricsRegistry()
-        reg.gauge("clock").set_function(lambda: engine.now)
+        reg.declare("clock", "gauge", read=lambda: engine.now)
         store = TimeSeriesStore()
         sampler = Sampler(engine, reg, store, interval_s=interval_s)
         return engine, store, sampler

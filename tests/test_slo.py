@@ -106,9 +106,9 @@ class TestResolveAndEvaluate:
 
     def _block_payload(self):
         reg = MetricsRegistry()
-        reg.counter("hits_total", "Hits", labels=("node",))
-        reg.family("hits_total").labels(node="c0").inc(3)
-        reg.family("hits_total").labels(node="c1").inc(5)
+        reg.declare("hits_total", "counter", "Hits", labels=("node",))
+        reg.inc("hits_total", 3, node="c0")
+        reg.inc("hits_total", 5, node="c1")
         return {
             "report": {
                 "squirrel": {"metrics": metrics_block(reg)},
