@@ -1,7 +1,7 @@
 """Fleet-wide deterministic time-series metrics.
 
 The scenario engine answers *what happened*; this package records *how the
-cluster evolved while it happened*. Four pieces:
+cluster evolved while it happened*. The pieces:
 
 * :mod:`.instruments` — typed instruments (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram` with fixed, declared bucket layouts)

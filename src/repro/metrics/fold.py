@@ -1,15 +1,10 @@
 """The detail cap: how a wide fleet's per-node metrics fold.
 
-A rig keeps one child per node (or tenant) for the first ``cap`` keys of a
-label axis only, so the sampler's cost stays bounded on a 10k-node fleet.
-Past the cap, a counter maps every other key to one shared :data:`OTHER`
-child, and a gauge drops the per-key series; a gauge that sums across the
-fleet adds one :data:`FLEET` child holding the total over every key. Sums
-over a family's children stay the fleet totals either way.
-
-:class:`FoldAxis` applies the rule when families are declared
-(:meth:`~repro.metrics.instruments.MetricsRegistry.declare`);
-:func:`fleet_total_series` applies it when stored series are totalled.
+A capped label axis keeps one child per key for its first ``cap`` keys
+only. Past the cap, a counter counts every other key in one shared
+:data:`OTHER` child; a gauge drops their series, and a gauge that sums
+across the fleet adds one :data:`FLEET` child with the total over every
+key. Sums over a family's children stay fleet totals either way.
 """
 
 from __future__ import annotations
@@ -31,9 +26,7 @@ class FoldAxis:
 
     __slots__ = ("keys", "detail", "capped", "fmt", "_detail_labels")
 
-    def __init__(
-        self, keys: Iterable[Any], cap: int, fmt: Callable[[Any], str] = str
-    ) -> None:
+    def __init__(self, keys: Iterable[Any], cap: int, fmt: Callable = str) -> None:
         self.keys = tuple(keys)
         self.detail = self.keys[:cap]
         self.capped = len(self.keys) > len(self.detail)
@@ -56,12 +49,11 @@ def fleet_total_series(series: list[dict]) -> list[dict]:
     :data:`FLEET` series stands in for every series that differs from it
     only in its capped label (the detail nodes of its tier or shard)."""
     fleet = [s["labels"] for s in series if FLEET in s["labels"].values()]
-
-    def covered(labels: dict) -> bool:
-        return any(
-            labels.keys() == f.keys()
-            and all(labels[k] == v for k, v in f.items() if v != FLEET)
+    return [
+        s for s in series
+        if s["labels"] in fleet or not any(
+            s["labels"].keys() == f.keys()
+            and all(s["labels"][k] == v for k, v in f.items() if v != FLEET)
             for f in fleet
         )
-
-    return [s for s in series if s["labels"] in fleet or not covered(s["labels"])]
+    ]

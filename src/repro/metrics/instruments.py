@@ -188,8 +188,7 @@ class MetricFamily:
         return Histogram(self.buckets)
 
     def child(self, *label_values: Any) -> Any:
-        """The child at label values given in schema order, taken as they
-        are (created on first use)."""
+        """The child at raw label values in schema order (no folding)."""
         key = tuple(str(value) for value in label_values)
         child = self._children.get(key)
         if child is None:
@@ -198,9 +197,8 @@ class MetricFamily:
 
     def labels(self, **labels: Any) -> Any:
         """The child instrument at one label assignment (created on first
-        use). Label names must match the declared schema exactly. On a
-        family with a capped axis, a key outside its detail set lands in
-        the shared ``_other`` child."""
+        use). Label names must match the declared schema exactly; a capped
+        axis folds keys past its detail set into ``_other``."""
         if set(labels) != set(self.label_names):
             raise ConfigError(
                 f"family {self.name!r} takes labels "
@@ -220,12 +218,10 @@ class MetricFamily:
 class MetricsRegistry:
     """One run's metric families, keyed and iterated by name.
 
-    Instrumented layers declare their families independently
-    (:meth:`declare`) and record through :meth:`inc` / :meth:`observe`.
-    ``clock`` (the simulated time) keys the fleet pass: every ``_fleet``
-    child of the registry is filled by one pass over the fleet per clock
-    value, however many summing gauges read it. Without a clock, every
-    read makes the pass.
+    Layers declare their families independently (:meth:`declare`) and
+    record through :meth:`inc` / :meth:`observe`. ``clock`` (the simulated
+    time) keys the fleet pass: one pass per clock value fills every
+    ``_fleet`` child; without a clock every read makes the pass.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
@@ -247,18 +243,16 @@ class MetricsRegistry:
         read: Callable[..., float] | None = None,
         sums: bool = False,
     ) -> MetricFamily:
-        """Declare (or fetch) a family and create its children.
+        """Declare (or fetch: any mismatch of kind, label names or buckets
+        is a :class:`ConfigError`) a family and create its children.
 
-        Each of ``labels`` is a bare label name, or a ``(name, values)``
-        pair naming its children's values: a tuple, or (first label only)
-        a :class:`FoldAxis`, which the family's :meth:`~MetricFamily.labels`
-        then folds by. Counters and histograms get a zero child per
-        combination of values. A gauge gets one callback child per
-        combination of detail keys, reading ``read(*values)``; ``sums`` on
-        a capped axis adds a ``_fleet`` child per combination of the other
-        labels. Re-declaring with the same kind, label names and buckets
-        returns the existing family; any mismatch is a
-        :class:`ConfigError`.
+        Each of ``labels`` is a label name or a ``(name, values)`` pair:
+        a tuple, or (first label only) a :class:`FoldAxis` the family's
+        :meth:`~MetricFamily.labels` then folds by. Counters and histograms
+        get a zero child per combination of values; a gauge gets a child
+        per combination of detail keys reading ``read(*values)``, and with
+        ``sums`` on a capped axis a ``_fleet`` child per combination of the
+        other labels.
         """
         labels = [(x, ()) if isinstance(x, str) else x for x in labels]
         label_names = tuple(label for label, _values in labels)
@@ -299,11 +293,11 @@ class MetricsRegistry:
                     partial(self._fleet_total, len(self._fleet_terms))
                 )
                 self._fleet_terms.append((first, read, combo))
+            self._fleet_at = None  # the next read makes a pass with the new terms
         return family
 
     def _fleet_total(self, slot: int) -> float:
-        """One summing gauge's whole-fleet total: the first read at a
-        clock value fills every ``_fleet`` child's total at once."""
+        """A ``_fleet`` child's total, from one fleet pass per clock value."""
         now = self.clock() if self.clock is not None else None
         if now is None or now != self._fleet_at:
             self._fleet_at = now

@@ -43,24 +43,18 @@ def _peak(series_list: list[dict]) -> tuple[float, float, dict] | None:
     return best
 
 
-def _pointwise_mean(series_list: list[dict]) -> tuple[list[float], list[float]]:
-    """Mean across series at each shared scrape time (series sampled by one
-    sampler share their time axis; stragglers are averaged where present)."""
+def _pointwise(
+    series_list: list[dict], reduce=sum
+) -> tuple[list[float], list[float]]:
+    """``reduce`` of the values across series at each shared scrape time
+    (series sampled by one sampler share their time axis; stragglers
+    count where present)."""
     acc: dict[float, list[float]] = {}
     for series in series_list:
         for t, v in zip(series["t"], series["v"]):
             acc.setdefault(t, []).append(v)
     times = sorted(acc)
-    return times, [sum(acc[t]) / len(acc[t]) for t in times]
-
-
-def _pointwise_sum(series_list: list[dict]) -> tuple[list[float], list[float]]:
-    acc: dict[float, float] = {}
-    for series in series_list:
-        for t, v in zip(series["t"], series["v"]):
-            acc[t] = acc.get(t, 0.0) + v
-    times = sorted(acc)
-    return times, [acc[t] for t in times]
+    return times, [reduce(acc[t]) for t in times]
 
 
 def _curve_points(times: list[float], values: list[float]) -> list[list[float]]:
@@ -87,14 +81,14 @@ def rollup(block: dict) -> dict:
 
     hit_rate = _series_of(block, "zfs_arc_hit_rate")
     if hit_rate:
-        times, means = _pointwise_mean(hit_rate)
+        times, means = _pointwise(hit_rate, lambda vs: sum(vs) / len(vs))
         out["arc_hit_rate_curve"] = _curve_points(times, means)
 
     # past the detail cap, the compute tier's _fleet series already totals
     # its detail nodes; the storage pool's series is added once
     ddt = fleet_total_series(_series_of(block, "zfs_ddt_core_bytes"))
     if ddt:
-        times, totals = _pointwise_sum(ddt)
+        times, totals = _pointwise(ddt)
         high = max(range(len(times)), key=lambda i: (totals[i], -times[i]))
         out["ddt_core_bytes_high_water"] = {
             "bytes": totals[high],
@@ -204,18 +198,17 @@ def summarize_path(path: str | Path) -> dict[str, dict]:
     point index (``point3.squirrel``).
     """
     report, payload = _load_payload(Path(path))
-    rollups: dict[str, dict] = {}
+    blocks: dict[str, dict] = {}
     points = payload.get("points") if isinstance(payload, dict) else None
+    if isinstance(points, list):
+        for i, point in enumerate(points):
+            for block_path, block in collect_metric_blocks(point, "report").items():
+                blocks[f"point{i}.{export_name(block_path)}"] = block
+    else:
+        for block_path, block in collect_metric_blocks(payload, "report").items():
+            blocks[export_name(block_path)] = block
     try:
-        if isinstance(points, list):
-            for i, point in enumerate(points):
-                blocks = collect_metric_blocks(point, "report")
-                for block_path, block in blocks.items():
-                    rollups[f"point{i}.{export_name(block_path)}"] = rollup(block)
-        else:
-            blocks = collect_metric_blocks(payload, "report")
-            for block_path, block in blocks.items():
-                rollups[export_name(block_path)] = rollup(block)
+        rollups = {name: rollup(block) for name, block in blocks.items()}
     except (KeyError, TypeError) as error:
         raise ConfigError(
             f"{report}: malformed metrics block (missing or mistyped {error})"

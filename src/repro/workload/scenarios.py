@@ -61,13 +61,7 @@ from ..core.squirrel import (
 )
 from ..disk import DAS4_RAID0, DiskModel, TimedDisk
 from ..faults import FaultInjector, FaultPlan
-from ..metrics import (
-    FoldAxis,
-    MetricsRegistry,
-    Sampler,
-    TimeSeriesStore,
-    metrics_block,
-)
+from ..metrics import FoldAxis, MetricsRegistry, Sampler, TimeSeriesStore, metrics_block
 from ..net import GBE_1, LinkProfile
 from ..obs import (
     BootAttribution,
@@ -125,11 +119,11 @@ LATENCY_BUCKETS = (
 )
 #: ring capacity of the per-run time-series store (samples per series)
 METRICS_RING = 4096
-#: per-node metric series are exported for at most this many compute nodes
-#: (the paper's 64-node cluster): beyond it, counters fold into a "_other"
-#: series (fleet sums stay exact) and per-node gauges are replaced by one
-#: "_fleet" aggregate. Without the cap a 10k-node storm is quadratic in the
-#: sampler — O(nodes) series per scrape times an O(nodes) horizon.
+#: per-node (and per-tenant) metric series are exported for at most this
+#: many keys (the paper's 64-node cluster), folded past it by
+#: :class:`repro.metrics.FoldAxis`. Without the cap a 10k-node storm is
+#: quadratic in the sampler — O(nodes) series per scrape times an O(nodes)
+#: horizon.
 METRICS_NODE_DETAIL = 64
 
 
@@ -243,9 +237,8 @@ def _shard_node_ddt_core(rig: "TimedSquirrel", node: str, shard: str) -> int:
     """Resident DDT bytes of one shard's dedup domain on a node pool,
     without creating the domain (scrapes must never mutate)."""
     pool = rig.squirrel.cluster.node(node).pool
-    if rig.squirrel.sharding.n_shards == 1:
-        return pool.ddt.in_core_bytes
-    ddt = pool.peek_domain_ddt(shard)
+    single = rig.squirrel.sharding.n_shards == 1
+    ddt = pool.ddt if single else pool.peek_domain_ddt(shard)
     return ddt.in_core_bytes if ddt is not None else 0
 
 
@@ -256,12 +249,10 @@ def _scvol(rig: "TimedSquirrel"):
 class _Family(NamedTuple):
     """One metric family the rig exports (see ``MetricsRegistry.declare``).
 
-    Each of ``labels`` is a rig axis name (``node`` and ``tenant``, capped at
-    :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``pool``, the storage
-    pool) or a ``(label, axis name or values)`` pair. ``read(rig, *label
-    values)`` reads a gauge. ``gate`` names the Squirrel attachment
-    (``placement``/``sharding``) the family needs, so a rig without it
-    exports what it did before the attachment existed.
+    Each of ``labels`` is a rig axis name (``node``/``tenant``, capped at
+    :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``pool``) or a
+    ``(label, axis name or values)`` pair; ``read(rig, *label values)`` reads
+    a gauge. ``gate``: the Squirrel attachment the family needs.
     """
 
     name: str
@@ -275,10 +266,9 @@ class _Family(NamedTuple):
 
 
 def _pool_families(name: str, help: str, attr: str) -> tuple[_Family, _Family]:
-    """A pool gauge reading ``attr``: one child per compute node (summed
-    into ``_fleet`` past the cap) and the storage pool's ``tier=storage``
-    child. Compute pools are read through the node at scrape time: replica
-    sharing repoints ``node.pool`` to another ZPool on copy-on-write."""
+    """A pool gauge reading ``attr``: a child per compute node (summing into
+    ``_fleet``) and the storage pool's ``tier=storage`` child. Node pools are
+    read at scrape time: copy-on-write repoints ``node.pool``."""
     read = attrgetter(attr)
     return (
         _Family(name, "gauge", help, ("node", ("tier", ("compute",))), sums=True,
@@ -544,7 +534,7 @@ class TimedSquirrel:
         self._inflight: dict[str, dict[_InflightBoot, None]] = {
             node.name: {} for node in cluster.compute
         }
-        cap = METRICS_NODE_DETAIL
+        cap = METRICS_NODE_DETAIL  # read per rig, not at import
         axes = {
             "node": FoldAxis([node.name for node in cluster.compute], cap),
             "brick": tuple(self.brick),
@@ -552,9 +542,7 @@ class TimedSquirrel:
         }
         if sharding is not None:
             axes["shard"] = sharding.names
-            axes["tenant"] = FoldAxis(
-                sharding.tenants, cap, fmt=lambda t: f"t{t:02d}"
-            )
+            axes["tenant"] = FoldAxis(sharding.tenants, cap, fmt="t{:02d}".format)
         for family in _FAMILIES:
             if family.gate and getattr(squirrel, family.gate) is None:
                 continue
@@ -759,8 +747,7 @@ class TimedSquirrel:
         )
         inc = self.metrics.inc
         for tier in ("t1", "t2"):
-            inc("zfs_arc_hits_total", delta[f"{tier}_hits"],
-                node=node_name, tier=tier)
+            inc("zfs_arc_hits_total", delta[f"{tier}_hits"], node=node_name, tier=tier)
             inc("zfs_arc_evictions_total", delta[f"{tier}_evictions"],
                 node=node_name, tier=tier)
         for tier in ("b1", "b2"):
@@ -769,8 +756,7 @@ class TimedSquirrel:
         inc("zfs_arc_misses_total", delta["misses"], node=node_name)
         if shard is not None:
             shard_hits = delta["t1_hits"] + delta["t2_hits"]
-            inc("zfs_shard_arc_hits_total", shard_hits,
-                node=node_name, shard=shard)
+            inc("zfs_shard_arc_hits_total", shard_hits, node=node_name, shard=shard)
             inc("zfs_shard_arc_misses_total", delta["misses"],
                 node=node_name, shard=shard)
             if tenant is not None:
