@@ -22,15 +22,21 @@ FLEET = "_fleet"
 class FoldAxis:
     """One capped label axis: raw ``keys`` in fleet order (node names,
     tenant ids), the first ``cap`` of them the detail set, each rendered
-    as a label value by ``fmt``."""
+    as a label value by ``fmt``. Gauge readers take each key's
+    ``subject(key)``, resolved once here (the key itself by default), so a
+    ``_fleet`` sum walks bound objects rather than looking keys up."""
 
-    __slots__ = ("keys", "detail", "capped", "fmt", "_detail_labels")
+    __slots__ = ("keys", "detail", "capped", "fmt", "subjects", "_detail_labels")
 
-    def __init__(self, keys: Iterable[Any], cap: int, fmt: Callable = str) -> None:
+    def __init__(
+        self, keys: Iterable[Any], cap: int, fmt: Callable = str,
+        subject: Callable | None = None,
+    ) -> None:
         self.keys = tuple(keys)
         self.detail = self.keys[:cap]
         self.capped = len(self.keys) > len(self.detail)
         self.fmt = fmt
+        self.subjects = tuple(map(subject, self.keys)) if subject else self.keys
         self._detail_labels = frozenset(fmt(key) for key in self.detail)
 
     def label(self, key: Any) -> str:

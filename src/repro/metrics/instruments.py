@@ -215,22 +215,20 @@ class MetricFamily:
         return sorted(self._children.items())
 
 
+def _fleet_sum(read: Callable, subjects: tuple, combo: tuple) -> float:
+    """A ``_fleet`` child's value: ``read`` summed over every subject."""
+    return sum(map(read, subjects, *map(itertools.repeat, combo)))
+
+
 class MetricsRegistry:
     """One run's metric families, keyed and iterated by name.
 
     Layers declare their families independently (:meth:`declare`) and
-    record through :meth:`inc` / :meth:`observe`. ``clock`` (the simulated
-    time) keys the fleet pass: one pass per clock value fills every
-    ``_fleet`` child; without a clock every read makes the pass.
+    record through :meth:`inc` / :meth:`observe`.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
-        self.clock = clock
-        #: one (axis, reader, other label values) per ``_fleet`` child
-        self._fleet_terms: list[tuple[FoldAxis, Callable, tuple]] = []
-        self._fleet_at: float | None = None
-        self._fleet_sums: list[float] = []
 
     def declare(
         self,
@@ -250,9 +248,11 @@ class MetricsRegistry:
         a tuple, or (first label only) a :class:`FoldAxis` the family's
         :meth:`~MetricFamily.labels` then folds by. Counters and histograms
         get a zero child per combination of values; a gauge gets a child
-        per combination of detail keys reading ``read(*values)``, and with
-        ``sums`` on a capped axis a ``_fleet`` child per combination of the
-        other labels.
+        per combination of detail keys reading ``read(subject, *values)``,
+        and with ``sums`` on a capped axis a ``_fleet`` child per
+        combination of the other labels, reading the sum over every
+        subject. That sum is one C-level ``map`` over the subjects the axis
+        bound once, so the reader is the only per-key Python work.
         """
         labels = [(x, ()) if isinstance(x, str) else x for x in labels]
         label_names = tuple(label for label, _values in labels)
@@ -282,30 +282,17 @@ class MetricsRegistry:
                 for combo in combos:
                     family.child(head, *combo)
             return family
-        for key in first.detail:
+        for key, subject in zip(first.detail, first.subjects):
             for combo in combos:
                 family.child(first.fmt(key), *combo).set_function(
-                    partial(read, key, *combo)
+                    partial(read, subject, *combo)
                 )
         if sums and first.capped:
             for combo in combos:
                 family.child(FLEET, *combo).set_function(
-                    partial(self._fleet_total, len(self._fleet_terms))
+                    partial(_fleet_sum, read, first.subjects, combo)
                 )
-                self._fleet_terms.append((first, read, combo))
-            self._fleet_at = None  # the next read makes a pass with the new terms
         return family
-
-    def _fleet_total(self, slot: int) -> float:
-        """A ``_fleet`` child's total, from one fleet pass per clock value."""
-        now = self.clock() if self.clock is not None else None
-        if now is None or now != self._fleet_at:
-            self._fleet_at = now
-            self._fleet_sums = [
-                sum(map(read, axis.keys, *map(itertools.repeat, combo)))
-                for axis, read, combo in self._fleet_terms
-            ]
-        return self._fleet_sums[slot]
 
     def inc(self, name: str, n: float = 1.0, **labels: Any) -> None:
         """Increment one child of a declared counter family."""

@@ -42,7 +42,8 @@ charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` / ``wait_s``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -219,24 +220,16 @@ class _ShardedNodeArc:
 
     @property
     def stats(self) -> ArcStats:
-        total = ArcStats()
-        for arc in self.shards.values():
-            s = arc.stats
-            total.hits += s.hits
-            total.misses += s.misses
-            total.t1_hits += s.t1_hits
-            total.t2_hits += s.t2_hits
-            total.b1_ghost_hits += s.b1_ghost_hits
-            total.b2_ghost_hits += s.b2_ghost_hits
-            total.t1_evictions += s.t1_evictions
-            total.t2_evictions += s.t2_evictions
-        return total
+        stats = [arc.stats for arc in self.shards.values()]
+        return ArcStats(**{
+            f.name: sum(getattr(s, f.name) for s in stats) for f in fields(ArcStats)
+        })
 
 
-def _shard_node_ddt_core(rig: "TimedSquirrel", node: str, shard: str) -> int:
+def _shard_node_ddt_core(rig: "TimedSquirrel", node: ComputeNode, shard: str) -> int:
     """Resident DDT bytes of one shard's dedup domain on a node pool,
     without creating the domain (scrapes must never mutate)."""
-    pool = rig.squirrel.cluster.node(node).pool
+    pool = node.pool
     single = rig.squirrel.sharding.n_shards == 1
     ddt = pool.ddt if single else pool.peek_domain_ddt(shard)
     return ddt.in_core_bytes if ddt is not None else 0
@@ -250,9 +243,11 @@ class _Family(NamedTuple):
     """One metric family the rig exports (see ``MetricsRegistry.declare``).
 
     Each of ``labels`` is a rig axis name (``node``/``tenant``, capped at
-    :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``pool``) or a
-    ``(label, axis name or values)`` pair; ``read(rig, *label values)`` reads
-    a gauge. ``gate``: the Squirrel attachment the family needs.
+    :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``storage``) or a
+    ``(label, axis name or values)`` pair. ``read(rig, *values)`` reads a
+    gauge; the capped ``compute`` and ``arc`` axes hand it a node's
+    :class:`ComputeNode` or boot ARC instead of the node name. ``gate``: the
+    Squirrel attachment the family needs.
     """
 
     name: str
@@ -271,9 +266,9 @@ def _pool_families(name: str, help: str, attr: str) -> tuple[_Family, _Family]:
     read at scrape time: copy-on-write repoints ``node.pool``."""
     read = attrgetter(attr)
     return (
-        _Family(name, "gauge", help, ("node", ("tier", ("compute",))), sums=True,
-                read=lambda rig, node, _t: read(rig.squirrel.cluster.node(node).pool)),
-        _Family(name, "gauge", help, (("node", "pool"), ("tier", ("storage",))),
+        _Family(name, "gauge", help, (("node", "compute"), ("tier", ("compute",))),
+                read=lambda rig, node, _t: read(node.pool), sums=True),
+        _Family(name, "gauge", help, (("node", "storage"), ("tier", ("storage",))),
                 read=lambda rig, _p, _t: read(rig.squirrel.cluster.storage.pool)),
     )
 
@@ -327,13 +322,13 @@ _FAMILIES = (
     _Family("squirrel_resync_latency_seconds", "histogram",
             "Offline-propagation catch-up latency", buckets=LATENCY_BUCKETS),
     _Family("zfs_arc_p_bytes", "gauge",
-            "ARC adaptive target for T1 (paper-scale bytes)", ("node",),
-            read=lambda rig, node: rig.arc[node].p),
+            "ARC adaptive target for T1 (paper-scale bytes)", (("node", "arc"),),
+            read=lambda rig, arc: arc.p),
     _Family("zfs_arc_resident_bytes", "gauge",
-            "Bytes resident in the node's boot ARC (paper-scale)", ("node",),
-            read=lambda rig, node: rig.arc[node].resident_bytes, sums=True),
-    _Family("zfs_arc_hit_rate", "gauge", "Lifetime ARC hit rate", ("node",),
-            read=lambda rig, node: rig.arc[node].stats.hit_rate),
+            "Bytes resident in the node's boot ARC (paper-scale)", (("node", "arc"),),
+            read=lambda rig, arc: arc.resident_bytes, sums=True),
+    _Family("zfs_arc_hit_rate", "gauge", "Lifetime ARC hit rate", (("node", "arc"),),
+            read=lambda rig, arc: arc.stats.hit_rate),
     *_pool_families("zfs_ddt_entries", "Dedup-table entries", "ddt.entry_count"),
     *_pool_families("zfs_ddt_core_bytes", "DDT resident RAM", "ddt.in_core_bytes"),
     *_pool_families("zfs_pool_allocated_bytes", "Pool data bytes allocated after dedup",
@@ -406,16 +401,16 @@ _FAMILIES = (
             "ARC misses within one shard's slice of a node ARC", ("node", "shard"),
             gate="sharding"),
     _Family("zfs_shard_arc_resident_bytes", "gauge",
-            "Bytes resident in one shard's ARC slice (paper-scale)", ("node", "shard"),
-            sums=True, gate="sharding",
-            read=lambda rig, node, s: rig.arc[node].shards[s].resident_bytes),
+            "Bytes resident in one shard's ARC slice (paper-scale)",
+            (("node", "arc"), "shard"), sums=True, gate="sharding",
+            read=lambda rig, arc, s: arc.shards[s].resident_bytes),
     _Family("zfs_shard_arc_hit_rate", "gauge",
-            "Lifetime hit rate of one shard's ARC slice", ("node", "shard"),
-            gate="sharding",
-            read=lambda rig, node, s: rig.arc[node].shards[s].stats.hit_rate),
+            "Lifetime hit rate of one shard's ARC slice", (("node", "arc"), "shard"),
+            gate="sharding", read=lambda rig, arc, s: arc.shards[s].stats.hit_rate),
     _Family("zfs_shard_node_ddt_core_bytes", "gauge",
-            "Resident DDT bytes of a shard's dedup domain on a node", ("node", "shard"),
-            read=_shard_node_ddt_core, sums=True, gate="sharding"),
+            "Resident DDT bytes of a shard's dedup domain on a node",
+            (("node", "compute"), "shard"), read=_shard_node_ddt_core, sums=True,
+            gate="sharding"),
     _Family("zfs_shard_ddt_entries", "gauge",
             "scVolume DDT entries in one shard's dedup domain", ("shard",),
             read=lambda rig, s: _scvol(rig).ddt(s).entry_count, gate="sharding"),
@@ -475,7 +470,7 @@ class TimedSquirrel:
         self.engine = engine
         self.timeline = timeline
         self.tracer = tracer or SpanTracer(engine)
-        self.metrics = MetricsRegistry(clock=lambda: engine.now)
+        self.metrics = MetricsRegistry()
         #: timed transfers replay the paper-scale byte counts
         self.scale_up = self.catalog.scaled_up
         cluster = squirrel.cluster
@@ -535,14 +530,21 @@ class TimedSquirrel:
             node.name: {} for node in cluster.compute
         }
         cap = METRICS_NODE_DETAIL  # read per rig, not at import
+        names = [node.name for node in cluster.compute]
         axes = {
-            "node": FoldAxis([node.name for node in cluster.compute], cap),
+            "node": FoldAxis(names, cap),
+            # summing gauges walk every node per scrape: bind the objects once
+            "compute": FoldAxis(names, cap, subject=cluster.node),
+            "arc": FoldAxis(names, cap, subject=self.arc.__getitem__),
             "brick": tuple(self.brick),
-            "pool": (cluster.storage.pool.name,),
+            "storage": (cluster.storage.pool.name,),
         }
         if sharding is not None:
             axes["shard"] = sharding.names
             axes["tenant"] = FoldAxis(sharding.tenants, cap, fmt="t{:02d}".format)
+        # readers hold a proxy: a rig -> registry -> reader -> rig cycle
+        # would keep every finished rig alive until a cyclic GC pass
+        rig = weakref.proxy(self)
         for family in _FAMILIES:
             if family.gate and getattr(squirrel, family.gate) is None:
                 continue
@@ -550,7 +552,7 @@ class TimedSquirrel:
                 family.name, family.kind, family.help,
                 tuple(_label_values(spec, axes) for spec in family.labels),
                 buckets=family.buckets,
-                read=family.read and partial(family.read, self),
+                read=family.read and partial(family.read, rig),
                 sums=family.sums,
             )
 
