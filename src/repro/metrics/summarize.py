@@ -189,6 +189,10 @@ def _load_payload(path: Path) -> tuple[Path, dict]:
         raise ConfigError(f"{path}: not a JSON report ({error})") from None
 
 
+#: the fields :func:`rollup` reads off each instrument and each series
+_FIELDS = {"instruments": {"name", "samples"}, "series": {"name", "labels", "t", "v"}}
+
+
 def summarize_path(path: str | Path) -> dict[str, dict]:
     """Rollups for a stored run or sweep directory (or report file).
 
@@ -207,12 +211,13 @@ def summarize_path(path: str | Path) -> dict[str, dict]:
     else:
         for block_path, block in collect_metric_blocks(payload, "report").items():
             blocks[export_name(block_path)] = block
-    try:
-        rollups = {name: rollup(block) for name, block in blocks.items()}
-    except (KeyError, TypeError) as error:
-        raise ConfigError(
-            f"{report}: malformed metrics block (missing or mistyped {error})"
-        ) from None
+    for name, block in blocks.items():
+        for part, fields in _FIELDS.items():
+            if not all(isinstance(entry, dict) and entry.keys() >= fields
+                       for entry in block.get(part, ())):
+                raise ConfigError(f"{report}: malformed metrics block {name!r} "
+                                  f"({part} need {', '.join(sorted(fields))})")
+    rollups = {name: rollup(block) for name, block in blocks.items()}
     if not rollups:
         raise ConfigError(f"no metrics blocks found under {path}")
     return rollups
