@@ -9,7 +9,7 @@ key. Sums over a family's children stay fleet totals either way.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["FLEET", "OTHER", "FoldAxis", "fleet_total_series"]
 
@@ -22,21 +22,18 @@ FLEET = "_fleet"
 class FoldAxis:
     """One capped label axis: raw ``keys`` in fleet order (node names,
     tenant ids), the first ``cap`` of them the detail set, each rendered
-    as a label value by ``fmt``. Gauge readers take each key's
-    ``subject(key)``, resolved once here (the key itself by default), so a
-    ``_fleet`` sum walks bound objects rather than looking keys up."""
+    as a label value by ``fmt``. Gauge readers take each key, or its value
+    when ``keys`` is a mapping (a node's ``ComputeNode`` or ARC), so a
+    ``_fleet`` sum walks objects bound once rather than looking keys up."""
 
     __slots__ = ("keys", "detail", "capped", "fmt", "subjects", "_detail_labels")
 
-    def __init__(
-        self, keys: Iterable[Any], cap: int, fmt: Callable = str,
-        subject: Callable | None = None,
-    ) -> None:
+    def __init__(self, keys: Iterable[Any], cap: int, fmt: Callable = str) -> None:
         self.keys = tuple(keys)
         self.detail = self.keys[:cap]
         self.capped = len(self.keys) > len(self.detail)
         self.fmt = fmt
-        self.subjects = tuple(map(subject, self.keys)) if subject else self.keys
+        self.subjects = tuple(keys.values()) if isinstance(keys, Mapping) else self.keys
         self._detail_labels = frozenset(fmt(key) for key in self.detail)
 
     def label(self, key: Any) -> str:

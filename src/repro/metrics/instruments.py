@@ -250,9 +250,7 @@ class MetricsRegistry:
         get a zero child per combination of values; a gauge gets a child
         per combination of detail keys reading ``read(subject, *values)``,
         and with ``sums`` on a capped axis a ``_fleet`` child per
-        combination of the other labels, reading the sum over every
-        subject. That sum is one C-level ``map`` over the subjects the axis
-        bound once, so the reader is the only per-key Python work.
+        combination of the other labels: ``read`` summed over every subject.
         """
         labels = [(x, ()) if isinstance(x, str) else x for x in labels]
         label_names = tuple(label for label, _values in labels)

@@ -43,7 +43,7 @@ charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` / ``wait_s``
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -220,10 +220,18 @@ class _ShardedNodeArc:
 
     @property
     def stats(self) -> ArcStats:
-        stats = [arc.stats for arc in self.shards.values()]
-        return ArcStats(**{
-            f.name: sum(getattr(s, f.name) for s in stats) for f in fields(ArcStats)
-        })
+        total = ArcStats()
+        for arc in self.shards.values():
+            s = arc.stats
+            total.hits += s.hits
+            total.misses += s.misses
+            total.t1_hits += s.t1_hits
+            total.t2_hits += s.t2_hits
+            total.b1_ghost_hits += s.b1_ghost_hits
+            total.b2_ghost_hits += s.b2_ghost_hits
+            total.t1_evictions += s.t1_evictions
+            total.t2_evictions += s.t2_evictions
+        return total
 
 
 def _shard_node_ddt_core(rig: "TimedSquirrel", node: ComputeNode, shard: str) -> int:
@@ -245,9 +253,8 @@ class _Family(NamedTuple):
     Each of ``labels`` is a rig axis name (``node``/``tenant``, capped at
     :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``storage``) or a
     ``(label, axis name or values)`` pair. ``read(rig, *values)`` reads a
-    gauge; the capped ``compute`` and ``arc`` axes hand it a node's
-    :class:`ComputeNode` or boot ARC instead of the node name. ``gate``: the
-    Squirrel attachment the family needs.
+    gauge; the ``compute``/``arc`` axes pass a node's :class:`ComputeNode`
+    or boot ARC for its name. ``gate``: the Squirrel attachment it needs.
     """
 
     name: str
@@ -530,21 +537,18 @@ class TimedSquirrel:
             node.name: {} for node in cluster.compute
         }
         cap = METRICS_NODE_DETAIL  # read per rig, not at import
-        names = [node.name for node in cluster.compute]
         axes = {
-            "node": FoldAxis(names, cap),
+            "node": FoldAxis([node.name for node in cluster.compute], cap),
             # summing gauges walk every node per scrape: bind the objects once
-            "compute": FoldAxis(names, cap, subject=cluster.node),
-            "arc": FoldAxis(names, cap, subject=self.arc.__getitem__),
+            "compute": FoldAxis({node.name: node for node in cluster.compute}, cap),
+            "arc": FoldAxis(self.arc, cap),
             "brick": tuple(self.brick),
             "storage": (cluster.storage.pool.name,),
         }
         if sharding is not None:
             axes["shard"] = sharding.names
             axes["tenant"] = FoldAxis(sharding.tenants, cap, fmt="t{:02d}".format)
-        # readers hold a proxy: a rig -> registry -> reader -> rig cycle
-        # would keep every finished rig alive until a cyclic GC pass
-        rig = weakref.proxy(self)
+        rig = weakref.proxy(self)  # no rig -> registry -> reader -> rig cycle
         for family in _FAMILIES:
             if family.gate and getattr(squirrel, family.gate) is None:
                 continue
