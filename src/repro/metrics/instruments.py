@@ -26,6 +26,7 @@ import itertools
 import math
 import re
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from ..common.errors import ConfigError
@@ -238,7 +239,7 @@ class MetricsRegistry:
         labels: tuple = (),
         *,
         buckets: tuple[float, ...] | None = None,
-        read: Callable[..., float] | None = None,
+        read: Callable[..., float] | str | None = None,
         sums: bool = False,
     ) -> MetricFamily:
         """Declare (or fetch: any mismatch of kind, label names or buckets
@@ -248,7 +249,8 @@ class MetricsRegistry:
         a tuple, or (first label only) a :class:`FoldAxis` the family's
         :meth:`~MetricFamily.labels` then folds by. Counters and histograms
         get a zero child per combination of values; a gauge gets a child
-        per combination of detail keys reading ``read(subject, *values)``,
+        per combination of detail keys reading ``read(subject, *values)``
+        (a ``str`` ``read`` is an attribute path read off the subject alone),
         and with ``sums`` on a capped axis a ``_fleet`` child per
         combination of the other labels: ``read`` summed over every subject.
         """
@@ -280,15 +282,18 @@ class MetricsRegistry:
                 for combo in combos:
                     family.child(head, *combo)
             return family
+        path = isinstance(read, str)  # attrgetter: no reader call per subject
+        if path:
+            read = attrgetter(read)
         for key, subject in zip(first.detail, first.subjects):
             for combo in combos:
                 family.child(first.fmt(key), *combo).set_function(
-                    partial(read, subject, *combo)
+                    partial(read, subject, *(() if path else combo))
                 )
         if sums and first.capped:
             for combo in combos:
                 family.child(FLEET, *combo).set_function(
-                    partial(_fleet_sum, read, first.subjects, combo)
+                    partial(_fleet_sum, read, first.subjects, () if path else combo)
                 )
         return family
 

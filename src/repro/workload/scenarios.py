@@ -43,9 +43,8 @@ charged to exactly one of ``cache_s`` / ``net_s`` / ``disk_s`` / ``wait_s``
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from ..boot.backends import ZfsCostModel
@@ -220,18 +219,10 @@ class _ShardedNodeArc:
 
     @property
     def stats(self) -> ArcStats:
-        total = ArcStats()
-        for arc in self.shards.values():
-            s = arc.stats
-            total.hits += s.hits
-            total.misses += s.misses
-            total.t1_hits += s.t1_hits
-            total.t2_hits += s.t2_hits
-            total.b1_ghost_hits += s.b1_ghost_hits
-            total.b2_ghost_hits += s.b2_ghost_hits
-            total.t1_evictions += s.t1_evictions
-            total.t2_evictions += s.t2_evictions
-        return total
+        stats = [arc.stats for arc in self.shards.values()]
+        return ArcStats(**{
+            f.name: sum(getattr(s, f.name) for s in stats) for f in fields(ArcStats)
+        })
 
 
 def _shard_node_ddt_core(rig: "TimedSquirrel", node: ComputeNode, shard: str) -> int:
@@ -253,8 +244,10 @@ class _Family(NamedTuple):
     Each of ``labels`` is a rig axis name (``node``/``tenant``, capped at
     :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``storage``) or a
     ``(label, axis name or values)`` pair. ``read(rig, *values)`` reads a
-    gauge; the ``compute``/``arc`` axes pass a node's :class:`ComputeNode`
-    or boot ARC for its name. ``gate``: the Squirrel attachment it needs.
+    gauge, or is an attribute path read off a mapping axis's objects (a
+    node's :class:`ComputeNode`, ARC or NIC, a brick uplink, the storage
+    tier), which a non-path reader gets for the key. ``gate``: the Squirrel
+    attachment it needs.
     """
 
     name: str
@@ -262,7 +255,7 @@ class _Family(NamedTuple):
     help: str
     labels: tuple = ()
     buckets: tuple[float, ...] | None = None
-    read: Callable[..., float] | None = None
+    read: Callable[..., float] | str | None = None
     sums: bool = False
     gate: str | None = None
 
@@ -271,22 +264,19 @@ def _pool_families(name: str, help: str, attr: str) -> tuple[_Family, _Family]:
     """A pool gauge reading ``attr``: a child per compute node (summing into
     ``_fleet``) and the storage pool's ``tier=storage`` child. Node pools are
     read at scrape time: copy-on-write repoints ``node.pool``."""
-    read = attrgetter(attr)
     return (
         _Family(name, "gauge", help, (("node", "compute"), ("tier", ("compute",))),
-                read=lambda rig, node, _t: read(node.pool), sums=True),
+                read=f"pool.{attr}", sums=True),
         _Family(name, "gauge", help, (("node", "storage"), ("tier", ("storage",))),
-                read=lambda rig, _p, _t: read(rig.squirrel.cluster.storage.pool)),
+                read=f"pool.{attr}"),
     )
 
 
-def _pipe_families(name: str, help: str, read) -> tuple[_Family, _Family]:
+def _pipe_families(name: str, help: str, read) -> tuple[_Family, ...]:
     """A link gauge over the detail nodes' NICs and every brick uplink."""
-    return (
-        _Family(name, "gauge", help, (("link", "node"), ("tier", ("nic",))),
-                read=lambda rig, link, _t: read(rig.nic[link])),
-        _Family(name, "gauge", help, (("link", "brick"), ("tier", ("brick",))),
-                read=lambda rig, link, _t: read(rig.brick[link])),
+    return tuple(
+        _Family(name, "gauge", help, (("link", axis), ("tier", (tier,))), read=read)
+        for axis, tier in (("nic", "nic"), ("uplink", "brick"))
     )
 
 
@@ -330,23 +320,22 @@ _FAMILIES = (
             "Offline-propagation catch-up latency", buckets=LATENCY_BUCKETS),
     _Family("zfs_arc_p_bytes", "gauge",
             "ARC adaptive target for T1 (paper-scale bytes)", (("node", "arc"),),
-            read=lambda rig, arc: arc.p),
+            read="p"),
     _Family("zfs_arc_resident_bytes", "gauge",
             "Bytes resident in the node's boot ARC (paper-scale)", (("node", "arc"),),
-            read=lambda rig, arc: arc.resident_bytes, sums=True),
+            read="resident_bytes", sums=True),
     _Family("zfs_arc_hit_rate", "gauge", "Lifetime ARC hit rate", (("node", "arc"),),
-            read=lambda rig, arc: arc.stats.hit_rate),
+            read="stats.hit_rate"),
     *_pool_families("zfs_ddt_entries", "Dedup-table entries", "ddt.entry_count"),
     *_pool_families("zfs_ddt_core_bytes", "DDT resident RAM", "ddt.in_core_bytes"),
     *_pool_families("zfs_pool_allocated_bytes", "Pool data bytes allocated after dedup",
                     "data_bytes"),
     *_pipe_families("net_pipe_utilization", "Lifetime busy fraction of a link",
-                    lambda pipe: pipe.busy_fraction()),
+                    lambda rig, pipe, _t: pipe.busy_fraction()),
     *_pipe_families("net_pipe_queue_depth", "Concurrent flows sharing a link",
-                    lambda pipe: pipe.active_flows),
+                    "active_flows"),
     *_pipe_families("net_pipe_moved_bytes",
-                    "Lifetime bytes admitted to a link (paper-scale)",
-                    lambda pipe: pipe.total_bytes),
+                    "Lifetime bytes admitted to a link (paper-scale)", "total_bytes"),
     _Family("net_gluster_degraded", "gauge",
             "1 while any brick is out of the read rotation",
             read=lambda rig: rig.squirrel.cluster.storage.gluster.degraded),
@@ -542,8 +531,10 @@ class TimedSquirrel:
             # summing gauges walk every node per scrape: bind the objects once
             "compute": FoldAxis({node.name: node for node in cluster.compute}, cap),
             "arc": FoldAxis(self.arc, cap),
+            "nic": FoldAxis(self.nic, cap),
+            "uplink": self.brick,
             "brick": tuple(self.brick),
-            "storage": (cluster.storage.pool.name,),
+            "storage": {cluster.storage.pool.name: cluster.storage},
         }
         if sharding is not None:
             axes["shard"] = sharding.names
@@ -552,11 +543,12 @@ class TimedSquirrel:
         for family in _FAMILIES:
             if family.gate and getattr(squirrel, family.gate) is None:
                 continue
+            read = family.read
             self.metrics.declare(
                 family.name, family.kind, family.help,
                 tuple(_label_values(spec, axes) for spec in family.labels),
                 buckets=family.buckets,
-                read=family.read and partial(family.read, rig),
+                read=partial(read, rig) if callable(read) else read,
                 sums=family.sums,
             )
 
