@@ -8,7 +8,9 @@ node crashes, stored sweeps round-trip, and ``--workers N`` leaves every
 stored byte identical to ``--workers 1``.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -34,7 +36,7 @@ from repro.metrics import (
 from repro.metrics.summarize import rollup, summarize_path
 from repro.sim import Engine
 from repro.sweep import SweepSpec, load_manifest, persist_sweep, run_sweep
-from repro.workload import StormConfig, boot_storm
+from repro.workload import StormConfig, boot_storm, scenarios
 
 
 # -- instruments ----------------------------------------------------------------------
@@ -307,6 +309,22 @@ def storm_report():
 
 
 class TestStormMetrics:
+    def test_rig_is_freed_without_a_gc_pass(self):
+        """Gauge readers must not tie the rig into a reference cycle through
+        its registry, or every finished rig stays resident until the cyclic
+        collector runs."""
+        gc.disable()
+        try:
+            rig = scenarios._build_rig(
+                n_compute=4, n_storage=4, block_size=65536, scale=1 / 4096,
+                link=scenarios.GBE_1, seed=0, trace=False,
+            )
+            timed = weakref.ref(rig.timed)
+            del rig
+            assert timed() is None
+        finally:
+            gc.enable()
+
     def test_block_rides_the_report(self, storm_report):
         for side in (storm_report.squirrel, storm_report.baseline):
             block = side.metrics
