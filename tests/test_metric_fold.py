@@ -15,13 +15,15 @@ The summarizer's DDT high-water and its loader errors are checked here
 too, since they read the same rule back from stored blocks.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.__main__ import main
 from repro.common.errors import ConfigError
 from repro.experiments import shard_storm
 from repro.faults import FaultPlan
-from repro.metrics import FLEET, OTHER, FoldAxis, fleet_total_series
+from repro.metrics import FLEET, OTHER, FoldAxis, MetricsRegistry, fleet_total_series
 from repro.metrics.summarize import rollup, summarize_path
 from repro.workload import StormConfig, boot_storm, scenarios
 
@@ -171,6 +173,20 @@ class TestFoldAxis:
     def test_uncapped_axis_has_no_fold_child(self):
         axis = FoldAxis(["a", "b"], 64)
         assert not axis.capped and axis.counter_labels() == ["a", "b"]
+
+    def test_gauges_read_mapping_values(self):
+        """A mapping axis hands readers its values; a ``str`` read is an
+        attribute path on them, summed into ``_fleet`` like a callable."""
+        pools = {name: SimpleNamespace(used=n) for name, n in zip("abc", (1, 2, 4))}
+        registry = MetricsRegistry()
+        for name, read in (("path", "used"), ("call", lambda p, tier: p.used)):
+            family = registry.declare(
+                name, "gauge", labels=(("node", FoldAxis(pools, 2)), ("tier", ("x",))),
+                read=read, sums=True,
+            )
+            assert {k: g.read() for k, g in family.samples()} == {
+                ("a", "x"): 1.0, ("b", "x"): 2.0, (FLEET, "x"): 7.0,
+            }
 
 
 class TestSummarizerFold:
