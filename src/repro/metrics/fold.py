@@ -23,7 +23,7 @@ class FoldAxis:
     """One capped label axis: raw ``keys`` in fleet order (node names,
     tenant ids), the first ``cap`` of them the detail set, each rendered
     as a label value by ``fmt``. Gauge readers take each key, or its value
-    when ``keys`` is a mapping (a node's ``ComputeNode`` or ARC), so a
+    when ``keys`` is a mapping (a node's ``ComputeNode``, ARC or NIC), so a
     ``_fleet`` sum walks objects bound once rather than looking keys up."""
 
     __slots__ = ("keys", "detail", "capped", "fmt", "subjects", "_detail_labels")

@@ -244,10 +244,10 @@ class _Family(NamedTuple):
     Each of ``labels`` is a rig axis name (``node``/``tenant``, capped at
     :data:`METRICS_NODE_DETAIL`; ``shard``; ``brick``; ``storage``) or a
     ``(label, axis name or values)`` pair. ``read(rig, *values)`` reads a
-    gauge, or is an attribute path read off a mapping axis's objects (a
-    node's :class:`ComputeNode`, ARC or NIC, a brick uplink, the storage
-    tier), which a non-path reader gets for the key. ``gate``: the Squirrel
-    attachment it needs.
+    gauge; a mapping axis passes its object for the key (a node's
+    :class:`ComputeNode`, ARC or NIC, a brick uplink, the storage tier), and
+    a ``str`` read is an attribute path on that object. ``gate``: the
+    Squirrel attachment the family needs.
     """
 
     name: str
